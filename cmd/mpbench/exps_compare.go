@@ -379,40 +379,57 @@ func expPurity(e *env) error {
 	return nil
 }
 
+// ablationVariant is one row of the design-decision ablation: a named
+// change to the baseline configuration.
+type ablationVariant struct {
+	name   string
+	tasks  int
+	passes int
+	mut    func(*metaprep.Config)
+}
+
+// ablationVariants lists DESIGN.md's design-decision ablations. The merge
+// rows pin the payload encoding explicitly, because the default is the
+// pipelined delta merge, which neither row measures.
+func ablationVariants() []ablationVariant {
+	return []ablationVariant{
+		{"baseline (precomputed offsets, 4-lane, ccopt)", 1, 4, nil},
+		{"dynamic offsets (atomic cursor)", 1, 4, func(c *metaprep.Config) { c.DynamicOffsets = true }},
+		{"scalar KmerGen (no 4-lane)", 1, 4, func(c *metaprep.Config) { c.NoVectorKmerGen = true }},
+		{"LocalCC-Opt off", 1, 4, func(c *metaprep.Config) { c.CCOpt = false }},
+		{"dense MergeCC (P=4)", 4, 4, func(c *metaprep.Config) { c.SparseDeltaMerge = false }},
+		{"sparse MergeCC (P=4)", 4, 4, func(c *metaprep.Config) {
+			c.SparseDeltaMerge = false
+			c.SparseMerge = true
+		}},
+	}
+}
+
+// config builds the variant's run configuration over idx.
+func (v ablationVariant) config(idx *metaprep.Index) metaprep.Config {
+	cfg := metaprep.DefaultConfig(idx)
+	cfg.Tasks = v.tasks
+	cfg.Threads = 2
+	cfg.Passes = v.passes
+	cfg.Network = metaprep.EdisonNetwork()
+	if v.mut != nil {
+		v.mut(&cfg)
+	}
+	return cfg
+}
+
 // expAblation runs DESIGN.md's design-decision ablations head-to-head on
 // MMsim and prints the per-step deltas: precomputed vs dynamic KmerGen
 // offsets, 4-lane vs scalar generation, LocalCC-Opt on vs off, and dense
 // vs sparse MergeCC payloads.
 func expAblation(e *env) error {
-	type variant struct {
-		name   string
-		tasks  int
-		passes int
-		mut    func(*metaprep.Config)
-	}
-	variants := []variant{
-		{"baseline (precomputed offsets, 4-lane, ccopt)", 1, 4, nil},
-		{"dynamic offsets (atomic cursor)", 1, 4, func(c *metaprep.Config) { c.DynamicOffsets = true }},
-		{"scalar KmerGen (no 4-lane)", 1, 4, func(c *metaprep.Config) { c.NoVectorKmerGen = true }},
-		{"LocalCC-Opt off", 1, 4, func(c *metaprep.Config) { c.CCOpt = false }},
-		{"dense MergeCC (P=4)", 4, 4, nil},
-		{"sparse MergeCC (P=4)", 4, 4, func(c *metaprep.Config) { c.SparseMerge = true }},
-	}
 	t := stats.NewTable("Variant", "KmerGen", "LocalSort", "LocalCC", "Merge", "Total", "MergeSent(MB)")
-	for _, v := range variants {
-		idx, _, err := e.index("MM", 27)
-		if err != nil {
-			return err
-		}
-		cfg := metaprep.DefaultConfig(idx)
-		cfg.Tasks = v.tasks
-		cfg.Threads = 2
-		cfg.Passes = v.passes
-		cfg.Network = metaprep.EdisonNetwork()
-		if v.mut != nil {
-			v.mut(&cfg)
-		}
-		res, err := metaprep.Partition(cfg)
+	idx, _, err := e.index("MM", 27)
+	if err != nil {
+		return err
+	}
+	for _, v := range ablationVariants() {
+		res, err := metaprep.Partition(v.config(idx))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,32 @@ func TestExperimentRegistry(t *testing.T) {
 		"exchange", "extsort", "artifact", "serve", "stream", "calib"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
+		}
+	}
+}
+
+// TestAblationConfigsValidate builds every ablation row's configuration
+// and checks that it validates and sets what its name claims.
+func TestAblationConfigsValidate(t *testing.T) {
+	e := newEnv(t.TempDir(), 0.02)
+	idx, _, err := e.index("MM", 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ablationVariants() {
+		cfg := v.config(idx)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", v.name, err)
+		}
+		switch {
+		case strings.HasPrefix(v.name, "dense MergeCC"):
+			if cfg.SparseDeltaMerge || cfg.SparseMerge {
+				t.Errorf("%s: runs a sparse merge (delta=%v one-shot=%v)", v.name, cfg.SparseDeltaMerge, cfg.SparseMerge)
+			}
+		case strings.HasPrefix(v.name, "sparse MergeCC"):
+			if cfg.SparseDeltaMerge || !cfg.SparseMerge {
+				t.Errorf("%s: not the one-shot sparse merge (delta=%v one-shot=%v)", v.name, cfg.SparseDeltaMerge, cfg.SparseMerge)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"metaprep/internal/durable"
 	"metaprep/internal/extsort"
 )
 
@@ -263,9 +264,6 @@ func (w *Writer) Finish(meta Meta) error {
 	if w.err == nil {
 		w.err = w.bw.Flush()
 	}
-	if w.err == nil {
-		w.err = w.f.Sync()
-	}
 	if cerr := w.f.Close(); w.err == nil {
 		w.err = cerr
 	}
@@ -273,8 +271,7 @@ func (w *Writer) Finish(meta Meta) error {
 		os.Remove(w.tmp)
 		return w.err
 	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
+	if err := durable.Commit(w.tmp, w.path); err != nil {
 		w.err = err
 		return err
 	}

@@ -120,15 +120,17 @@ func RunCountContext(ctx context.Context, cfg Config) (*CountResult, error) {
 			if err := st.genExchange(s, gl, rl); err != nil {
 				return err
 			}
-			sl := pl.sortLayout(s, st.rank, rl)
-			st.localSort(s, sl)
+			parts, err := st.localSort(s, pl.sortLayout(s, st.rank, rl))
+			if err != nil {
+				return err
+			}
 
 			// Compact sorted runs into counts. Partitions are ascending
 			// thread ranges, so appending in partition order stays sorted.
 			t0 := time.Now()
 			tc := &perPass[s][st.rank]
 			for d := 0; d < cfg.Threads; d++ {
-				st.out.forRuns(sl.partOff[d], sl.partCnt[d], func(a, b uint64) {
+				st.out.forRuns(parts[d], parts[d+1]-parts[d], func(a, b uint64) {
 					tc.lo = append(tc.lo, st.out.lo[a])
 					if wide {
 						tc.hi = append(tc.hi, st.out.hi[a])

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"metaprep/internal/durable"
 )
 
 // labels.go persists component label arrays so downstream tools can consume
@@ -51,7 +53,7 @@ func SaveLabels(path string, labels []uint32) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	return durable.Commit(tmp, path)
 }
 
 // LoadLabels reads a label array written by SaveLabels.

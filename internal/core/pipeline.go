@@ -406,11 +406,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				}
 				var sl sortLayout
 				if st.keep != nil {
-					sl = st.sortLayoutFiltered(s, rl)
+					if sl, err = st.sortLayoutFiltered(s, rl); err != nil {
+						return err
+					}
 				} else {
 					sl = pl.sortLayout(s, st.rank, rl)
 				}
-				st.localSort(s, sl)
+				parts, err := st.localSort(s, sl)
+				if err != nil {
+					return err
+				}
 				// The artifact part writer overlaps LocalCC: both only
 				// read the sorted kmerOut. The join below keeps the
 				// buffer from being reused (next pass) while encoding.
@@ -428,7 +433,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						emitDone <- err
 					}(s, rl.total)
 				}
-				st.localCC(sl)
+				st.localCC(parts)
 				if emitDone != nil {
 					if err := <-emitDone; err != nil {
 						return err

@@ -9,6 +9,7 @@ import (
 	"metaprep/internal/mpirt"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
+	"metaprep/internal/radix"
 	"metaprep/internal/sketch"
 )
 
@@ -47,10 +48,9 @@ import (
 //     and the sender walks the same P-stage schedule shipping them as
 //     they appear, closing each destination with one last-flagged
 //     message. The receiver drains each source until that flag.
-//   - LocalSort derives its layout from a counting scan of the received
-//     tuples (sortLayoutFiltered) instead of the index histograms, and
-//     the radix sort falls back to its counting path (MerHist's per-bin
-//     counts describe the unfiltered stream).
+//   - LocalSort derives its per-(region, cell) counts from a counting scan
+//     of the received tuples (sortLayoutFiltered) instead of the index
+//     histograms, which describe the unfiltered stream.
 
 // Prefilter message tags, below tagDelta's band (see pipeline.go).
 const (
@@ -520,61 +520,44 @@ func (ex *exchStream) recvLoopPF(s int, rl recvLayout) error {
 // sortLayoutFiltered replaces the plan's histogram-derived sortLayout when
 // tuple counts are dynamic: regions are the P part-filled source areas of
 // kmerIn (per-thread sub-regions no longer have knowable extents), and the
-// per-(region, partition) counts come from one counting scan of the
-// received tuples. The scan is the price of filtering — O(received) reads,
-// charged to LocalSort, against the 40%+ of tuples that never arrived.
-func (st *taskState) sortLayoutFiltered(s int, rl recvLayout) sortLayout {
+// per-(region, cell) counts come from one counting scan of the received
+// tuples. The scan is the price of filtering — O(received) reads, charged
+// to LocalSort, against the 40%+ of tuples that never arrived.
+func (st *taskState) sortLayoutFiltered(s int, rl recvLayout) (sortLayout, error) {
 	t0 := time.Now()
 	p := st.p
 	P, T := p.cfg.Tasks, p.cfg.Threads
-	l := sortLayout{
-		partOff:   make([]uint64, T),
-		partCnt:   make([]uint64, T),
-		partBinLo: make([]int, T),
-		partBinHi: make([]int, T),
-		regionOff: rl.srcOff,
-		regionCnt: st.recvGot,
-		scatter:   make([]uint64, P*T),
-	}
-	for d := 0; d < T; d++ {
-		l.partBinLo[d], l.partBinHi[d] = p.pt.ThreadRange(s, st.rank, d)
-	}
-	thrCuts := p.pt.ThreadCuts(s, st.rank)
-	binLo := thrCuts[0]
-	lut := make([]uint16, thrCuts[len(thrCuts)-1]-binLo)
-	for d := 0; d < len(thrCuts)-1; d++ {
-		for b := thrCuts[d] - binLo; b < thrCuts[d+1]-binLo; b++ {
-			lut[b] = uint16(d)
-		}
-	}
-	cnt := make([]uint64, P*T)
+	lo, hi := p.pt.TaskRange(s, st.rank)
+	l := newSortLayout(lo, hi, 2*uint(p.idx.Opts.K-p.idx.Opts.M), sum(st.recvGot),
+		rl.srcOff, st.recvGot)
 	in := st.in
-	k, m := p.idx.Opts.K, p.idx.Opts.M
+	nc := uint64(l.ncells)
+	stale := make([]bool, P)
 	par.For(T, P, func(r int) {
-		off, n := rl.srcOff[r], st.recvGot[r]
-		row := cnt[r*T : r*T+T]
-		if in.wide() {
-			for i := off; i < off+n; i++ {
-				row[lut[binOf128(in.hi[i], in.lo[i], k, m)-binLo]]++
+		a, b := rl.srcOff[r], rl.srcOff[r]+st.recvGot[r]
+		row := l.start[r*l.ncells : (r+1)*l.ncells]
+		for i := a; i < b; i++ {
+			var c uint64
+			if in.wide() {
+				c = radix.Shr128(in.hi[i], in.lo[i], l.cellShift) - l.cellLo
+			} else {
+				c = in.lo[i]>>l.cellShift - l.cellLo
 			}
-		} else {
-			shift := 2 * uint(k-m)
-			for i := off; i < off+n; i++ {
-				row[lut[int(in.lo[i]>>shift)-binLo]]++
+			if c >= nc {
+				stale[r] = true
+				return
 			}
+			row[c]++
 		}
 	})
-	var pOff uint64
-	for d := 0; d < T; d++ {
-		l.partOff[d] = pOff
-		for r := 0; r < P; r++ {
-			l.scatter[r*T+d] = pOff
-			pOff += cnt[r*T+d]
-			l.partCnt[d] += cnt[r*T+d]
+	for r, bad := range stale {
+		if bad {
+			return l, &StaleIndexError{Rank: st.rank, Pass: s, Region: r}
 		}
 	}
+	l.offsets()
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
-	return l
+	return l, nil
 }

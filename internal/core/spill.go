@@ -10,6 +10,7 @@ import (
 	"metaprep/internal/extsort"
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
+	"metaprep/internal/radix"
 	"metaprep/internal/unionfind"
 )
 
@@ -59,7 +60,6 @@ type spillState struct {
 	// bin boundaries where runs are cut into per-thread segments.
 	kr      keyRange
 	thrCuts []int
-	k, m    int
 	shift   uint
 
 	// fill is the builder the receive path is appending to; two more
@@ -95,8 +95,6 @@ func (st *taskState) startSpill(s int, rl recvLayout, dir string) (*spillState, 
 		runTuples:   pl.runTuples,
 		blockTuples: pl.spillBlockTuples(runs),
 		thrCuts:     pl.pt.ThreadCuts(s, st.rank),
-		k:           pl.idx.Opts.K,
-		m:           pl.idx.Opts.M,
 		shift:       2 * uint(pl.idx.Opts.K-pl.idx.Opts.M),
 		free:        make(chan *tupleBuf, 2),
 		full:        make(chan spillJob, 2),
@@ -204,7 +202,7 @@ func (sp *spillState) sortWrite(job spillJob) error {
 	cuts[T] = n
 	binOf := func(i int) int {
 		if sp.wide {
-			return binOf128(job.buf.hi[i], job.buf.lo[i], sp.k, sp.m)
+			return int(radix.Shr128(job.buf.hi[i], job.buf.lo[i], sp.shift))
 		}
 		return int(job.buf.lo[i] >> sp.shift)
 	}

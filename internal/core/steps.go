@@ -6,6 +6,7 @@ import (
 
 	"metaprep/internal/obsv"
 	"metaprep/internal/par"
+	"metaprep/internal/radix"
 	"metaprep/internal/unionfind"
 )
 
@@ -58,99 +59,102 @@ func (st *taskState) exchange(s int, gl genLayout, rl recvLayout) error {
 	return mismatch
 }
 
-// localSort runs the two stages of §3.4 on the received tuples: a parallel
-// range partition of kmerIn into T thread partitions of kmerOut (each
-// (source region, destination partition) cell writing through its own
-// precomputed cursor), then T concurrent serial radix sorts, one partition
-// per thread, with kmerIn as the out-of-place scratch.
-func (st *taskState) localSort(s int, sl sortLayout) {
+// localSort runs §3.4 on the received tuples in two phases. Scatter: the
+// kmerIn regions move their tuples straight into cell order in kmerOut,
+// each (region, cell) pair writing through its own precomputed cursor.
+// Finish: T threads sort contiguous blocks of about total/T tuples' worth
+// of cells, each cell in cache, with kmerIn as the fallback radix scratch.
+// It returns the T+1 kmerOut offsets of those blocks, which are also
+// LocalCC's thread partitions: a cell boundary never splits a run of equal
+// keys. Counts that do not describe the received tuples end in a
+// *StaleIndexError, never in a mis-sorted buffer.
+func (st *taskState) localSort(s int, sl sortLayout) ([]uint64, error) {
 	T := st.p.cfg.Threads
-	nr := len(sl.regionOff)
-
+	in, out := st.in, st.out
+	nr, nc := len(sl.regionOff), sl.ncells
 	t0 := time.Now()
-	obs := st.obs
-	// Stage 1: partition. Work units are the P×T source regions of kmerIn.
-	// The bin→thread map is a flat lookup table over this task's bin range
-	// (the same shape as KmerGen's owner table), filled by walking the cut
-	// list once — cuts are contiguous and ordered, so each thread's bin
-	// range [cuts[d], cuts[d+1]) is one contiguous fill.
-	thrCuts := st.p.pt.ThreadCuts(s, st.rank)
-	binLo := thrCuts[0]
-	lut := make([]uint16, thrCuts[len(thrCuts)-1]-binLo)
-	for d := 0; d < len(thrCuts)-1; d++ {
-		for b := thrCuts[d] - binLo; b < thrCuts[d+1]-binLo; b++ {
-			lut[b] = uint16(d)
+	if nc > 0 {
+		stale := make([]bool, nr)
+		workers := min(T, nr)
+		par.Run(workers, func(w int) {
+			cells := make([]radix.Cell, nc)
+			rlo, rhi := par.Block(nr, workers, w)
+			for r := rlo; r < rhi; r++ {
+				sl.cells(r, cells)
+				a, b := sl.regionOff[r], sl.regionOff[r]+sl.regionCnt[r]
+				var ok bool
+				if in.wide() {
+					ok = radix.ScatterBins128(out.hi, out.lo, out.val, in.hi[a:b], in.lo[a:b], in.val[a:b],
+						sl.cellShift, sl.cellLo, cells)
+				} else {
+					ok = radix.ScatterBins64(out.lo, out.val, in.lo[a:b], in.val[a:b],
+						sl.cellShift, sl.cellLo, cells)
+				}
+				if !ok {
+					stale[r] = true
+					return
+				}
+			}
+		})
+		for r, bad := range stale {
+			if bad {
+				return nil, &StaleIndexError{Rank: st.rank, Pass: s, Region: r}
+			}
 		}
 	}
-	par.For(T, nr, func(r int) {
-		cursor := make([]uint64, T)
-		copy(cursor, sl.scatter[r*T:(r+1)*T])
-		off, cnt := sl.regionOff[r], sl.regionCnt[r]
-		in, out := st.in, st.out
-		if in.wide() {
-			for i := off; i < off+cnt; i++ {
-				d := lut[binOf128(in.hi[i], in.lo[i], st.p.idx.Opts.K, st.p.idx.Opts.M)-binLo]
-				j := cursor[d]
-				cursor[d]++
-				out.moveTuple(j, in, i)
-			}
-		} else {
-			k, m := st.p.idx.Opts.K, st.p.idx.Opts.M
-			shift := 2 * uint(k-m)
-			for i := off; i < off+cnt; i++ {
-				d := lut[int(in.lo[i]>>shift)-binLo]
-				j := cursor[d]
-				cursor[d]++
-				out.moveTuple(j, in, i)
-			}
-		}
-	})
 	t1 := time.Now()
-	obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-partition", t0, t1.Sub(t0), nil)
-	// Stage 2: per-thread serial radix sort of each partition, scratch in
-	// the (now consumed) kmerIn. Each partition's bin range bounds its key
-	// range, and merHist holds its exact per-bin counts (every tuple whose
-	// bin falls in a thread range is routed here), so the sort skips the
-	// passes the partitioning already decided.
-	shift := 2 * uint(st.p.idx.Opts.K-st.p.idx.Opts.M)
-	par.Run(T, func(d int) {
-		binCounts := st.p.idx.MerHist[sl.partBinLo[d]:sl.partBinHi[d]]
-		if st.keep != nil {
-			// MerHist describes the unfiltered tuple stream; under the
-			// prefilter the radix sort falls back to its counting path.
-			binCounts = nil
+	st.obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-scatter", t0, t1.Sub(t0), nil)
+	blocks := make([]int, T+1) // first cell of each thread's block
+	blocks[T] = nc
+	for w := 1; w < T; w++ {
+		blocks[w] = sl.firstCellAt(sl.total * uint64(w) / uint64(T))
+	}
+	par.Run(T, func(w int) {
+		var bs radix.BinSorter
+		for c := blocks[w]; c < blocks[w+1]; c++ {
+			a, b := sl.cellStart(c), sl.cellStart(c+1)
+			if b-a < 2 {
+				continue
+			}
+			g := sl.cellLo + uint64(c)
+			minHi, minLo, maxHi, maxLo := keyBounds(g, g+1, sl.cellShift)
+			if in.wide() {
+				bs.Sort128(out.hi[a:b], out.lo[a:b], out.val[a:b], in.hi[a:b], in.lo[a:b], in.val[a:b],
+					minHi, minLo, maxHi, maxLo)
+			} else {
+				bs.Sort64(out.lo[a:b], out.val[a:b], in.lo[a:b], in.val[a:b], minLo, maxLo)
+			}
 		}
-		kr := keyRange{
-			binLo:     sl.partBinLo[d],
-			binHi:     sl.partBinHi[d],
-			shift:     shift,
-			binCounts: binCounts,
-		}
-		st.out.sortRange(sl.partOff[d], sl.partCnt[d], kr, st.in)
 	})
-	obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-radix", t1, time.Since(t1), nil)
+	st.obs.RecordSpan(st.rank, obsv.TidSteps, "detail", "sort-finish", t1, time.Since(t1), nil)
+	parts := make([]uint64, T+1)
+	for w, c := range blocks {
+		parts[w] = sl.cellStart(c)
+	}
 	d := time.Since(t0)
 	st.rep.Steps.LocalSort += d
 	st.stepSpan("LocalSort", t0, d)
+	return parts, nil
 }
 
-// binOf128 extracts the m-mer prefix bin from a packed 128-bit key.
-func binOf128(hi, lo uint64, k, m int) int {
-	shift := 2 * uint(k-m)
-	if shift >= 64 {
-		return int(hi >> (shift - 64))
-	}
-	if shift == 0 {
-		return int(lo)
-	}
-	return int(lo>>shift | hi<<(64-shift))
+// StaleIndexError reports LocalSort tuples that disagree with the per-bin
+// counts the index predicts: a tuple outside the task's bins, or a (region,
+// cell) pair that received more or fewer tuples than planned. The input
+// changed since the index was built.
+type StaleIndexError struct {
+	Rank, Pass, Region int
+}
+
+func (e *StaleIndexError) Error() string {
+	return fmt.Sprintf("core: task %d pass %d: LocalSort region %d does not match the index's per-bin counts — input changed since IndexCreate?",
+		e.Rank, e.Pass, e.Region)
 }
 
 // localCC runs §3.5: every thread walks its sorted partition, turns each
 // run of an equal k-mer into star edges (first read — every other read) if
 // the run's length passes the frequency filter, and feeds them to the
 // shared lock-free union–find with Algorithm 1's buffered re-verification.
-func (st *taskState) localCC(sl sortLayout) {
+func (st *taskState) localCC(parts []uint64) {
 	T := st.p.cfg.Threads
 	filter := st.p.cfg.Filter
 	t0 := time.Now()
@@ -160,7 +164,7 @@ func (st *taskState) localCC(sl sortLayout) {
 	par.Run(T, func(d int) {
 		var retry []unionfind.Edge
 		hist := make([]uint64, freqHistSize)
-		st.out.forRuns(sl.partOff[d], sl.partCnt[d], func(start, end uint64) {
+		st.out.forRuns(parts[d], parts[d+1]-parts[d], func(start, end uint64) {
 			f := uint32(end - start)
 			// The frequency spectrum falls out of the sorted runs for free;
 			// it is what a user consults to pick the §4.4 filter bounds.
@@ -223,18 +227,18 @@ func (st *taskState) ccFinish(t0 time.Time, edgeCounts []uint64, retries [][]uni
 	if iters > st.rep.CCIters {
 		st.rep.CCIters = iters
 	}
-	st.rep.Edges += edgesOf(edgeCounts)
+	st.rep.Edges += sum(edgeCounts)
 	d := time.Since(t0)
 	st.rep.Steps.LocalCC += d
 	var args map[string]any
 	if st.obs != nil { // avoid the map allocation on the disabled path
-		args = map[string]any{"edges": edgesOf(edgeCounts), "iterations": iters}
+		args = map[string]any{"edges": sum(edgeCounts), "iterations": iters}
 	}
 	st.obs.RecordSpan(st.rank, obsv.TidSteps, "step", "LocalCC", t0, d, args)
 	st.obs.Histogram(st.rank, "step/LocalCC").Observe(d)
 }
 
-func edgesOf(counts []uint64) uint64 {
+func sum(counts []uint64) uint64 {
 	var n uint64
 	for _, c := range counts {
 		n += c

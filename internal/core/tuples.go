@@ -75,27 +75,22 @@ func (b *tupleBuf) moveTuple(j uint64, src *tupleBuf, i uint64) {
 	}
 }
 
-// keyRange bounds the packed keys of one LocalSort thread partition: every
-// key's m-mer prefix bin (key >> shift) lies in [binLo, binHi), so the bits
-// above the highest bit the range leaves free never need a radix pass.
-// binCounts, when non-nil, is the global per-bin tuple count slice
-// (merHist[binLo:binHi]) — the exact MSD histogram the index tables already
-// hold, letting the sort scatter into bin order without a counting scan.
+// keyRange bounds the packed keys of one out-of-core sort run: every
+// key's m-mer prefix bin (key >> shift) lies in [binLo, binHi), so the
+// bits above the highest bit the range leaves free never need a radix
+// pass.
 type keyRange struct {
 	binLo, binHi int
 	// shift is the bit position of the bin field: 2(k-m).
-	shift     uint
-	binCounts []uint64
+	shift uint
 }
 
 // sortRange sorts tuples [off, off+cnt) by key ascending using the serial
 // out-of-place radix sort of §3.4, with the corresponding range of scratch
-// as the ping-pong buffer (the pipeline passes kmerIn here, reusing the
-// exchange buffer exactly as the paper does). kr bounds the keys in the
-// range: the sort runs only the passes the partitioning has not already
-// decided (a canonical k-mer has 2k significant bits, and the partition's
-// bin range pins the high-order ones), and with exact per-bin counts it
-// replaces the high-bit passes with a single scatter into bin order.
+// as the ping-pong buffer. kr bounds the keys in the range, so the sort
+// runs only the passes the bin range has not already decided (a canonical
+// k-mer has 2k significant bits, and the bin range pins the high-order
+// ones).
 func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 	if cnt < 2 {
 		return
@@ -104,25 +99,27 @@ func (b *tupleBuf) sortRange(off, cnt uint64, kr keyRange, scratch *tupleBuf) {
 	val := b.val[off : off+cnt]
 	sLo := scratch.lo[off : off+cnt]
 	sVal := scratch.val[off : off+cnt]
+	minHi, minLo, maxHi, maxLo := keyBounds(uint64(kr.binLo), uint64(kr.binHi), kr.shift)
 	if b.wide() {
 		hi := b.hi[off : off+cnt]
 		sHi := scratch.hi[off : off+cnt]
-		minHi, minLo := shift128(uint64(kr.binLo), kr.shift)
-		maxHi, maxLo := shift128(uint64(kr.binHi), kr.shift)
-		if maxLo == 0 { // 128-bit decrement: max = (binHi << shift) - 1
-			maxHi--
-		}
-		maxLo--
 		radix.SortPairs128Range(hi, lo, val, sHi, sLo, sVal, minHi, minLo, maxHi, maxLo)
 		return
 	}
-	if kr.binCounts != nil &&
-		radix.SortPairs64Binned(lo, val, sLo, sVal, kr.shift, kr.binLo, kr.binCounts) {
-		return
+	radix.SortPairs64Range(lo, val, sLo, sVal, minLo, maxLo)
+}
+
+// keyBounds returns the 128-bit interval [minHi:minLo, maxHi:maxLo] of the
+// keys whose field key >> shift lies in [lo, hi). For 64-bit keys the
+// high words are zero.
+func keyBounds(lo, hi uint64, shift uint) (minHi, minLo, maxHi, maxLo uint64) {
+	minHi, minLo = shift128(lo, shift)
+	maxHi, maxLo = shift128(hi, shift)
+	if maxLo == 0 { // 128-bit decrement: max = (hi << shift) - 1
+		maxHi--
 	}
-	minK := uint64(kr.binLo) << kr.shift
-	maxK := uint64(kr.binHi)<<kr.shift - 1
-	radix.SortPairs64Range(lo, val, sLo, sVal, minK, maxK)
+	maxLo--
+	return minHi, minLo, maxHi, maxLo
 }
 
 // shift128 computes v << s in 128 bits, returned as (hi, lo).

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"metaprep/internal/durable"
 )
 
 // io.go serializes the index tables to disk. The paper writes merHist and
@@ -161,7 +163,8 @@ func ReadFrom(r io.Reader) (*Index, error) {
 	return idx, nil
 }
 
-// Save writes the index to path atomically (via a temp file rename).
+// Save writes the index to path atomically and durably (via a committed
+// temp file).
 func (idx *Index) Save(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -177,7 +180,7 @@ func (idx *Index) Save(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	return durable.Commit(tmp, path)
 }
 
 // Load reads an index from path.

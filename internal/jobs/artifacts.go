@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"metaprep/internal/core"
+	"metaprep/internal/durable"
 )
 
 // artifactStore is the daemon's content-addressed partition-artifact store:
@@ -96,7 +97,7 @@ func (s *artifactStore) commit(staged, name string) (string, error) {
 	path := filepath.Join(s.dir, name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(staged, path); err != nil {
+	if err := durable.Commit(staged, path); err != nil {
 		return "", err
 	}
 	s.evictLocked(path)

@@ -426,13 +426,16 @@ func (m *Manager) runJob(j *Job) {
 
 	// Spill scratch is an executor concern too (SpillDir is excluded from
 	// the cache key): give a spilling job a private directory under the
-	// manager's spill root and remove it on every exit path, so cancelled
-	// and failed jobs cannot strand run files.
+	// manager's spill root and remove it once the runner returns, whatever
+	// the outcome, so cancelled and failed jobs cannot strand run files.
+	// Removal precedes publishing the terminal state: a waiter that sees
+	// the job finish also sees its scratch gone.
+	var spillDir string
 	if m.opts.SpillDir != "" && cfg.SpillBudgetBytes > 0 && cfg.SpillDir == "" {
 		dir := filepath.Join(m.opts.SpillDir, "job-"+j.ID)
 		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
+			spillDir = dir
 			cfg.SpillDir = dir
-			defer os.RemoveAll(dir)
 		}
 	}
 
@@ -486,6 +489,13 @@ func (m *Manager) runJob(j *Job) {
 		}
 		if err == nil || ctx.Err() != nil || attempt > m.opts.Retries || !m.opts.Transient(err) {
 			break
+		}
+	}
+	if spillDir != "" {
+		if rmErr := os.RemoveAll(spillDir); rmErr != nil {
+			if lg := m.opts.Logger; lg != nil {
+				lg.WarnContext(ctx, "spill scratch removal failed", "dir", spillDir, "err", rmErr)
+			}
 		}
 	}
 

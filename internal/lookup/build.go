@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"metaprep/internal/artifact"
+	"metaprep/internal/durable"
 )
 
 // DefaultShards is the shard count used when BuildOptions.Shards is unset.
@@ -299,9 +300,6 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 	if err := w.Flush(); err != nil {
 		return BuildStats{}, err
 	}
-	if err := f.Sync(); err != nil {
-		return BuildStats{}, err
-	}
 	size := off + int64(len(tocBuf)) + trailerLen
 	if err := f.Close(); err != nil {
 		f = nil
@@ -309,8 +307,7 @@ func Build(ar *artifact.Reader, path string, opts BuildOptions) (BuildStats, err
 		return BuildStats{}, err
 	}
 	f = nil
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.Commit(tmp, path); err != nil {
 		return BuildStats{}, err
 	}
 	return BuildStats{Keys: keys, Blocks: nblocks, Shards: shards, Bytes: size}, nil

@@ -11,14 +11,16 @@
 // benchmarks).
 //
 // On top of the fixed-pass sorts, the package provides key-range-aware
-// entry points: a canonical k-mer has only 2k significant bits, and each
-// LocalSort thread partition owns a contiguous m-mer bin range that pins
-// the high-order bits besides. SortPairs64Range and SortPairs128Range
-// derive the pass count from the [min, max] key interval instead of always
-// sweeping all 8 (or 16) bytes, and SortPairs64Binned goes further: given
-// exact per-bin tuple counts (the index's merHist slice), it scatters the
-// keys into bin order without any counting scan and then finishes only the
-// low-order bits the binning left unsorted.
+// entry points: a canonical k-mer has only 2k significant bits, and a
+// LocalSort bin pins the high-order bits besides. SortPairs64Range and
+// SortPairs128Range derive the pass count from the [min, max] key interval
+// instead of always sweeping all 8 (or 16) bytes.
+//
+// LocalSort itself runs the binned kernels of bins.go: ScatterBins64 and
+// ScatterBins128 move tuples into m-mer bin order in one pass from exact
+// per-(region, bin) counts, and BinSorter finishes each bin in cache —
+// insertion sort for short bins, grouping of equal keys for bins with
+// repeats, and the range-limited LSD sort otherwise.
 package radix
 
 import (
@@ -128,103 +130,6 @@ func SortPairs128Range(hi, lo []uint64, vals []uint32, tmpHi, tmpLo []uint64, tm
 	passes := SignificantBytes128(minHi, minLo, maxHi, maxLo)
 	notePasses(0, 16-passes)
 	SortPairs128(hi, lo, vals, tmpHi, tmpLo, tmpV, passes)
-}
-
-// binnedInsertionMax is the run length below which SortPairs64Binned
-// finishes a bin with a stable insertion sort instead of radix passes. At
-// typical pipeline scales most bins hold only a handful of tuples, where
-// per-run radix setup would dominate.
-const binnedInsertionMax = 32
-
-// SortPairs64Binned sorts keys whose high field key>>shift is an m-mer bin
-// in [binLo, binLo+len(binCounts)) with exactly binCounts[b-binLo] keys per
-// bin b — the per-partition guarantee the METAPREP index tables provide.
-// The counts replace the counting scan of an MSD pass: keys are scattered
-// straight into bin order (a stable single pass with precomputed offsets)
-// and each bin's run is then finished over only the shift low-order bits
-// the binning leaves undetermined. The result is identical to a stable LSD
-// sort of the full keys.
-//
-// It returns false without modifying keys or vals when the counts do not
-// describe the input (wrong sum, an out-of-range bin, or a per-bin
-// mismatch), so callers can fall back to a range sort; tmpK and tmpV may
-// hold garbage in that case.
-func SortPairs64Binned(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32,
-	shift uint, binLo int, binCounts []uint64) bool {
-	n := len(keys)
-	var total uint64
-	for _, c := range binCounts {
-		total += c
-	}
-	if total != uint64(n) {
-		return false
-	}
-	if n < 2 {
-		return true
-	}
-	// Exclusive prefix offsets; start[b] is retained for the post-scatter
-	// verification while cur[b] advances.
-	start := make([]uint64, len(binCounts)+1)
-	cur := make([]uint64, len(binCounts))
-	var off uint64
-	for b, c := range binCounts {
-		start[b] = off
-		cur[b] = off
-		off += c
-	}
-	start[len(binCounts)] = off
-	// The count-free scatter stands in for the high-bit passes a plain
-	// LSD sort would need: one executed pass, however many bins.
-	notePasses(1, 0)
-	dstK, dstV := tmpK[:n], tmpV[:n]
-	for i, k := range keys {
-		b := int(k>>shift) - binLo
-		if b < 0 || b >= len(binCounts) {
-			return false
-		}
-		j := cur[b]
-		if j >= start[b+1] {
-			// More keys in this bin than promised: the counts are stale.
-			return false
-		}
-		cur[b]++
-		dstK[j] = k
-		dstV[j] = vals[i]
-	}
-	// Finish each bin's run over the low shift bits, writing back into
-	// keys/vals. Both finishing paths are stable, so the overall order
-	// matches a full stable LSD sort.
-	for b := range binCounts {
-		lo, hi := start[b], start[b+1]
-		cnt := hi - lo
-		if cnt == 0 {
-			continue
-		}
-		runK, runV := keys[lo:hi], vals[lo:hi]
-		copy(runK, dstK[lo:hi])
-		copy(runV, dstV[lo:hi])
-		if cnt <= binnedInsertionMax {
-			insertionPairs64(runK, runV)
-		} else {
-			SortPairs64Range(runK, runV, dstK[lo:hi], dstV[lo:hi], 0, uint64(1)<<shift-1)
-		}
-	}
-	return true
-}
-
-// insertionPairs64 is a stable insertion sort of a short key/value run.
-func insertionPairs64(keys []uint64, vals []uint32) {
-	for i := 1; i < len(keys); i++ {
-		k, v := keys[i], vals[i]
-		j := i - 1
-		for j >= 0 && keys[j] > k {
-			keys[j+1] = keys[j]
-			vals[j+1] = vals[j]
-			j--
-		}
-		keys[j+1] = k
-		vals[j+1] = v
-	}
 }
 
 // SortPairs64 sorts keys (and vals along with it) ascending using a stable

@@ -396,100 +396,6 @@ func TestSortPairs64RangePinnedHighBits(t *testing.T) {
 	checkSorted64(t, origK, origV, keys, vals)
 }
 
-// binnedInput builds keys whose top field (key >> shift) is a bin in
-// [binLo, binHi) together with the exact per-bin counts.
-func binnedInput(rng *rand.Rand, n int, shift uint, binLo, binHi int) ([]uint64, []uint32, []uint64) {
-	keys := make([]uint64, n)
-	vals := make([]uint32, n)
-	counts := make([]uint64, binHi-binLo)
-	low := uint64(1)<<shift - 1
-	for i := range keys {
-		b := binLo + rng.Intn(binHi-binLo)
-		keys[i] = uint64(b)<<shift | (rng.Uint64() & low)
-		vals[i] = uint32(i)
-		counts[b-binLo]++
-	}
-	return keys, vals, counts
-}
-
-func TestSortPairs64Binned(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 2, 33, 1000, 20000} {
-		for _, tc := range []struct {
-			shift        uint
-			binLo, binHi int
-		}{
-			{38, 0, 7},      // few bins → long runs (radix finishing path)
-			{38, 100, 5000}, // many bins → short runs (insertion path)
-			{0, 0, 256},     // k == m: the bin is the whole key
-			{60, 1, 3},      // maximal shift for 64-bit k-mers
-		} {
-			keys, vals, counts := binnedInput(rng, n, tc.shift, tc.binLo, tc.binHi)
-			origK := append([]uint64(nil), keys...)
-			origV := append([]uint32(nil), vals...)
-			if !SortPairs64Binned(keys, vals, make([]uint64, n), make([]uint32, n), tc.shift, tc.binLo, counts) {
-				t.Fatalf("n=%d shift=%d: binned sort rejected consistent counts", n, tc.shift)
-			}
-			checkSorted64(t, origK, origV, keys, vals)
-		}
-	}
-}
-
-func TestSortPairs64BinnedStability(t *testing.T) {
-	// Equal keys must keep input order through the scatter + finishing
-	// passes, so the binned path is interchangeable with a stable LSD sort.
-	keys := []uint64{5<<38 | 1, 1 << 38, 5<<38 | 1, 1 << 38, 5<<38 | 1}
-	vals := []uint32{0, 1, 2, 3, 4}
-	counts := []uint64{2, 0, 0, 0, 3} // bins 1..5
-	if !SortPairs64Binned(keys, vals, make([]uint64, 5), make([]uint32, 5), 38, 1, counts) {
-		t.Fatal("rejected consistent counts")
-	}
-	wantK := []uint64{1 << 38, 1 << 38, 5<<38 | 1, 5<<38 | 1, 5<<38 | 1}
-	wantV := []uint32{1, 3, 0, 2, 4}
-	for i := range wantK {
-		if keys[i] != wantK[i] || vals[i] != wantV[i] {
-			t.Fatalf("got %v/%v want %v/%v", keys, vals, wantK, wantV)
-		}
-	}
-}
-
-func TestSortPairs64BinnedRejectsBadCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	keys, vals, counts := binnedInput(rng, 500, 38, 0, 16)
-	origK := append([]uint64(nil), keys...)
-	origV := append([]uint32(nil), vals...)
-
-	// Wrong total.
-	bad := append([]uint64(nil), counts...)
-	bad[0]++
-	if SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 0, bad) {
-		t.Fatal("accepted counts with wrong sum")
-	}
-	// Right total, wrong distribution: swap weight between two non-empty bins.
-	bad = append([]uint64(nil), counts...)
-	moved := false
-	for i := 0; i+1 < len(bad) && !moved; i++ {
-		if bad[i] > 0 {
-			bad[i]--
-			bad[i+1]++
-			moved = true
-		}
-	}
-	if moved && SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 0, bad) {
-		t.Fatal("accepted counts with wrong distribution")
-	}
-	// Out-of-range bin: pretend the bin space starts one bin later.
-	if SortPairs64Binned(keys, vals, make([]uint64, 500), make([]uint32, 500), 38, 1, counts) {
-		t.Fatal("accepted out-of-range bins")
-	}
-	// Rejection must leave keys and vals untouched.
-	for i := range keys {
-		if keys[i] != origK[i] || vals[i] != origV[i] {
-			t.Fatal("rejected call modified its input")
-		}
-	}
-}
-
 func TestSortPairs128Passes(t *testing.T) {
 	// With high words all equal, 8 passes (the lo word) must fully sort.
 	rng := rand.New(rand.NewSource(10))
