@@ -556,20 +556,11 @@ func BenchmarkDistributedCount(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineBackHalf vs BenchmarkPipelineBackHalfReference measures
-// the back-half overhaul: the pipelined delta tree merge plus the zero-copy
-// overlapped CC-I/O against the one-shot dense merge with the reader-based
-// output re-parse. Both write the full partitioned output (CC-I/O is the
-// step under test) over the Edison network model.
+// BenchmarkPipelineBackHalf measures the back half — the pipelined delta
+// tree merge, the binomial label broadcast and the zero-copy overlapped
+// CC-I/O — writing the full partitioned output (CC-I/O is the step under
+// test) over the Edison network model.
 func BenchmarkPipelineBackHalf(b *testing.B) {
-	benchBackHalf(b, true)
-}
-
-func BenchmarkPipelineBackHalfReference(b *testing.B) {
-	benchBackHalf(b, false)
-}
-
-func benchBackHalf(b *testing.B, backhalf bool) {
 	idx, ds := fx.index(b, "HG", 0.1, 27)
 	outDir := filepath.Join(fx.dir, "backhalf-bench")
 	b.SetBytes(ds.Bases)
@@ -578,8 +569,6 @@ func benchBackHalf(b *testing.B, backhalf bool) {
 		res := runPipeline(b, idx, 4, 2, 2, metaprep.Filter{}, func(c *metaprep.Config) {
 			c.Network = metaprep.EdisonNetwork()
 			c.OutDir = outDir
-			c.SparseDeltaMerge = backhalf
-			c.OverlapOutput = backhalf
 		})
 		if len(res.LCFiles) == 0 {
 			b.Fatal("no output written")

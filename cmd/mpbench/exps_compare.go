@@ -382,35 +382,26 @@ func expPurity(e *env) error {
 // ablationVariant is one row of the design-decision ablation: a named
 // change to the baseline configuration.
 type ablationVariant struct {
-	name   string
-	tasks  int
-	passes int
-	mut    func(*metaprep.Config)
+	name string
+	mut  func(*metaprep.Config)
 }
 
-// ablationVariants lists DESIGN.md's design-decision ablations. The merge
-// rows pin the payload encoding explicitly, because the default is the
-// pipelined delta merge, which neither row measures.
+// ablationVariants lists DESIGN.md's design-decision ablations.
 func ablationVariants() []ablationVariant {
 	return []ablationVariant{
-		{"baseline (precomputed offsets, 4-lane, ccopt)", 1, 4, nil},
-		{"dynamic offsets (atomic cursor)", 1, 4, func(c *metaprep.Config) { c.DynamicOffsets = true }},
-		{"scalar KmerGen (no 4-lane)", 1, 4, func(c *metaprep.Config) { c.NoVectorKmerGen = true }},
-		{"LocalCC-Opt off", 1, 4, func(c *metaprep.Config) { c.CCOpt = false }},
-		{"dense MergeCC (P=4)", 4, 4, func(c *metaprep.Config) { c.SparseDeltaMerge = false }},
-		{"sparse MergeCC (P=4)", 4, 4, func(c *metaprep.Config) {
-			c.SparseDeltaMerge = false
-			c.SparseMerge = true
-		}},
+		{"baseline (precomputed offsets, 4-lane, ccopt)", nil},
+		{"dynamic offsets (atomic cursor)", func(c *metaprep.Config) { c.DynamicOffsets = true }},
+		{"scalar KmerGen (no 4-lane)", func(c *metaprep.Config) { c.NoVectorKmerGen = true }},
+		{"LocalCC-Opt off", func(c *metaprep.Config) { c.CCOpt = false }},
 	}
 }
 
-// config builds the variant's run configuration over idx.
+// config builds the variant's run configuration over idx: one task, two
+// threads and four passes (so LocalCC-Opt has later passes to act on).
 func (v ablationVariant) config(idx *metaprep.Index) metaprep.Config {
 	cfg := metaprep.DefaultConfig(idx)
-	cfg.Tasks = v.tasks
 	cfg.Threads = 2
-	cfg.Passes = v.passes
+	cfg.Passes = 4
 	cfg.Network = metaprep.EdisonNetwork()
 	if v.mut != nil {
 		v.mut(&cfg)
@@ -420,10 +411,9 @@ func (v ablationVariant) config(idx *metaprep.Index) metaprep.Config {
 
 // expAblation runs DESIGN.md's design-decision ablations head-to-head on
 // MMsim and prints the per-step deltas: precomputed vs dynamic KmerGen
-// offsets, 4-lane vs scalar generation, LocalCC-Opt on vs off, and dense
-// vs sparse MergeCC payloads.
+// offsets, 4-lane vs scalar generation, and LocalCC-Opt on vs off.
 func expAblation(e *env) error {
-	t := stats.NewTable("Variant", "KmerGen", "LocalSort", "LocalCC", "Merge", "Total", "MergeSent(MB)")
+	t := stats.NewTable("Variant", "KmerGen", "LocalSort", "LocalCC", "Merge", "Total")
 	idx, _, err := e.index("MM", 27)
 	if err != nil {
 		return err
@@ -433,18 +423,13 @@ func expAblation(e *env) error {
 		if err != nil {
 			return err
 		}
-		var mergeSent int64
-		for _, rep := range res.PerTask {
-			mergeSent += rep.MergeBytes
-		}
 		s := res.Steps
 		t.AddRow(v.name, s.KmerGenIO+s.KmerGen, s.LocalSort, s.LocalCC,
-			s.MergeComm+s.MergeCC, s.Total(), float64(mergeSent)/float64(1<<20))
+			s.MergeComm+s.MergeCC, s.Total())
 	}
 	if err := e.emit("ablate", t); err != nil {
 		return err
 	}
-	fmt.Println("(single-core host: the offset/lane ablations show correctness-preserving alternatives; their costs only separate under real thread contention.")
-	fmt.Println(" sparse MergeCC pays off on singleton-heavy data — on MMsim's giant component the dense 4R array is smaller, exactly the documented trade-off)")
+	fmt.Println("(single-core host: the offset/lane ablations show correctness-preserving alternatives; their costs only separate under real thread contention)")
 	return nil
 }

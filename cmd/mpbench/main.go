@@ -49,7 +49,7 @@ func experiments() []experiment {
 		{"extsort", "extension: out-of-core LocalSort (spill budget sweep, parity-checked)", expExtsort},
 		{"artifact", "extension: persistent partition artifacts (reload >=5x, incremental parity)", expArtifact},
 		{"prefilter", "extension: Bloom singleton prefilter (bits sweep, purity vs exact, wire cut)", expPrefilter},
-		{"backhalf", "extension: delta tree merge, broadcast schedule, overlapped CC-I/O", expBackHalf},
+		{"backhalf", "extension: delta tree merge, tree broadcast, overlapped CC-I/O (measured + model)", expBackHalf},
 		{"pipeline", "observability: per-step latency and model drift under the flight recorder", expPipeline},
 		{"serve", "extension: query-tier closed-loop load (batch × concurrency, verified responses)", expServe},
 		{"stream", "STREAM Triad memory bandwidth", expStream},

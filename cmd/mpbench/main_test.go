@@ -59,15 +59,21 @@ func TestAblationConfigsValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", v.name, err)
 		}
+		var mismatch bool
 		switch {
-		case strings.HasPrefix(v.name, "dense MergeCC"):
-			if cfg.SparseDeltaMerge || cfg.SparseMerge {
-				t.Errorf("%s: runs a sparse merge (delta=%v one-shot=%v)", v.name, cfg.SparseDeltaMerge, cfg.SparseMerge)
-			}
-		case strings.HasPrefix(v.name, "sparse MergeCC"):
-			if cfg.SparseDeltaMerge || !cfg.SparseMerge {
-				t.Errorf("%s: not the one-shot sparse merge (delta=%v one-shot=%v)", v.name, cfg.SparseDeltaMerge, cfg.SparseMerge)
-			}
+		case strings.HasPrefix(v.name, "baseline"):
+			mismatch = cfg.DynamicOffsets || cfg.NoVectorKmerGen || !cfg.CCOpt
+		case strings.HasPrefix(v.name, "dynamic offsets"):
+			mismatch = !cfg.DynamicOffsets
+		case strings.HasPrefix(v.name, "scalar KmerGen"):
+			mismatch = !cfg.NoVectorKmerGen
+		case strings.HasPrefix(v.name, "LocalCC-Opt off"):
+			mismatch = cfg.CCOpt
+		default:
+			t.Errorf("%s: no expectation for this ablation row", v.name)
+		}
+		if mismatch {
+			t.Errorf("%s: configuration does not set what the row's name claims", v.name)
 		}
 	}
 }

@@ -383,15 +383,8 @@ func outputOnlyRun(ctx context.Context, cfg Config, pl *plan, mr mergeResult) ([
 			return err
 		}
 		st.files = files
-		var fetchers []*chunkFetcher
-		if cfg.OverlapOutput {
-			fetchers = st.startOutputFetchers()
-			defer func() {
-				for _, f := range fetchers {
-					f.close()
-				}
-			}()
-		}
+		fetchers := st.startOutputFetchers()
+		defer closeFetchers(fetchers)
 		paths, err := st.writeOutput(mr, fetchers)
 		if err != nil {
 			return err

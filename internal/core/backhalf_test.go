@@ -5,52 +5,59 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"metaprep/internal/fastq"
 	"metaprep/internal/index"
 )
 
-// backhalf_test.go covers the pipelined delta tree merge, the broadcast
-// ablation and the zero-copy overlapped CC-I/O: bit-identical results and
-// output files against the pre-existing reference paths, the bounded
-// top-component selection, concatFiles error handling, and clean mid-output
-// cancellation.
+// backhalf_test.go covers the pipelined delta tree merge and the zero-copy
+// overlapped CC-I/O: labels identical to the merge-free single-task run and
+// the naive reference, output files byte-identical to a reader-based oracle,
+// the bounded top-component selection, concatFiles error handling, and
+// clean mid-output cancellation.
 
 // TestDeltaMergeMatchesDense asserts the pipelined delta merge reaches the
-// same global components as the one-shot dense merge across task counts
-// (powers of two and not) and multiple passes.
+// same global components as a run with no merge at all (P=1) and as the
+// naive reference, across task counts (powers of two and not) and multiple
+// passes. Labels must be byte-identical to the P=1 run, not merely the same
+// partition.
 func TestDeltaMergeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	td := overlappingDataset(t, rng, smallOpts(), 4, 300, 220, 35)
-	for _, tasks := range []int{1, 2, 3, 4, 8} {
-		for _, passes := range []int{1, 2} {
+	want := naiveLabels(td, smallOpts().K, false, Filter{})
+	for _, passes := range []int{1, 2} {
+		single := Default(td.idx)
+		single.Passes = passes
+		ref, err := Run(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tasks := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("P%d/S%d", tasks, passes), func(t *testing.T) {
-				dense := Default(td.idx)
-				dense.Tasks = tasks
-				dense.Passes = passes
-				dense.SparseDeltaMerge = false
-				want, err := Run(dense)
+				cfg := single
+				cfg.Tasks = tasks
+				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				delta := dense
-				delta.SparseDeltaMerge = true
-				got, err := Run(delta)
-				if err != nil {
-					t.Fatal(err)
+				assertSameLabels(t, want, got.Labels)
+				if !slices.Equal(got.Labels, ref.Labels) {
+					t.Fatal("labels are not byte-identical to the P=1 run")
 				}
-				assertSameLabels(t, canonLabels(want.Labels), got.Labels)
-				if want.Components != got.Components ||
-					want.LargestSize != got.LargestSize {
-					t.Fatalf("dense %d/%d vs delta %d/%d",
-						want.Components, want.LargestSize,
-						got.Components, got.LargestSize)
+				if got.Components != ref.Components || got.LargestRoot != ref.LargestRoot ||
+					got.LargestSize != ref.LargestSize {
+					t.Fatalf("P=1 %d/%d/%d vs P=%d %d/%d/%d",
+						ref.Components, ref.LargestRoot, ref.LargestSize,
+						tasks, got.Components, got.LargestRoot, got.LargestSize)
 				}
 			})
 		}
@@ -59,28 +66,28 @@ func TestDeltaMergeMatchesDense(t *testing.T) {
 
 // TestDeltaMergeReducesTraffic pins the wire-byte claim: on mostly-singleton
 // data the delta schedule's sparse baselines plus change-only rounds must
-// ship fewer MergeCC bytes than the dense 4R-per-hop tree.
+// ship fewer MergeCC bytes than a dense tree merge, whose P−1 hops carry the
+// 4R-byte parent array each.
 func TestDeltaMergeReducesTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	td := genDataset(t, rng, smallOpts(), 2, 200, 50)
-	run := func(deltaMerge bool) int64 {
-		cfg := Default(td.idx)
-		cfg.Tasks = 4
-		cfg.SparseDeltaMerge = deltaMerge
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bytes int64
-		for _, rep := range res.PerTask {
-			bytes += rep.MergeBytes
-		}
-		return bytes
+	const tasks = 4
+	cfg := Default(td.idx)
+	cfg.Tasks = tasks
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	denseBytes := run(false)
-	deltaBytes := run(true)
-	if deltaBytes >= denseBytes {
-		t.Errorf("delta merge sent %d MergeCC bytes, dense %d", deltaBytes, denseBytes)
+	var total int64
+	for _, rep := range res.PerTask {
+		total += rep.MergeBytes
+	}
+	// MergeBytes also counts the label broadcast: P−1 tree sends of the
+	// 4R-byte label array.
+	dense := int64(tasks-1) * 4 * int64(td.idx.Reads)
+	deltaBytes := total - dense
+	if deltaBytes < 0 || deltaBytes >= dense {
+		t.Errorf("delta merge sent %d MergeCC bytes, want within [0, %d) (dense bound)", deltaBytes, dense)
 	}
 }
 
@@ -103,12 +110,126 @@ func readOutDir(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// topComponentsRef is the full-sort reference for topComponents: the roots
+// of the n largest components, largest first, ties toward the smaller root.
+func topComponentsRef(sizes map[uint32]int, n int) []uint32 {
+	type comp struct {
+		root uint32
+		size int
+	}
+	all := make([]comp, 0, len(sizes))
+	for r, s := range sizes {
+		all = append(all, comp{r, s})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].size != all[j].size {
+			return all[i].size > all[j].size
+		}
+		return all[i].root < all[j].root
+	})
+	n = max(0, min(n, len(all)))
+	roots := make([]uint32, n)
+	for i := range roots {
+		roots[i] = all[i].root
+	}
+	return roots
+}
+
+// readerOutput is the CC-I/O oracle: it re-parses every chunk of the plan's
+// per-thread chunk lists through fastq.Reader, re-serializes each record
+// through fastq.Writer into its component group, and returns the expected
+// output files keyed by name. The groups are the largest component (or the
+// SplitComponents largest) plus the remainder, chosen from res.Labels alone.
+func readerOutput(t *testing.T, cfg Config, res *Result) map[string][]byte {
+	t.Helper()
+	pl, err := newPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := openInputs(pl.idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	roots := topComponentsRef(res.ComponentSizes(), max(cfg.SplitComponents, 1))
+	groupOf := make(map[uint32]int, len(roots))
+	for g, r := range roots {
+		groupOf[r] = g
+	}
+	other := len(roots)
+	groupName := func(g int) string {
+		switch {
+		case g == other:
+			return "other"
+		case cfg.SplitComponents == 0:
+			return "lc"
+		default:
+			return fmt.Sprintf("comp%03d", g)
+		}
+	}
+	out := make(map[string][]byte)
+	for rank := 0; rank < cfg.Tasks; rank++ {
+		for th := 0; th < cfg.Threads; th++ {
+			bufs := make([]bytes.Buffer, other+1)
+			writers := make([]*fastq.Writer, other+1)
+			for g := range writers {
+				writers[g] = fastq.NewWriter(&bufs[g])
+			}
+			for _, ci := range pl.threadChunks[rank][th] {
+				c := &pl.idx.Chunks[ci]
+				r := fastq.NewReader(io.NewSectionReader(files[c.File], c.Offset, c.Size))
+				for n := int32(0); n < c.Records; n++ {
+					rec, err := r.Next()
+					if err != nil {
+						t.Fatalf("oracle re-read chunk %d: %v", ci, err)
+					}
+					g, ok := groupOf[res.Labels[pl.idx.ReadIDOf(c, n)]]
+					if !ok {
+						g = other
+					}
+					if err := writers[g].Write(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for g, w := range writers {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%s_p%03d_t%03d.fastq", groupName(g), rank, th)] = bufs[g].Bytes()
+			}
+		}
+	}
+	return out
+}
+
+// assertSameFiles requires got to hold exactly want's files, byte for byte.
+func assertSameFiles(t *testing.T, want, got map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d output files, reference has %d", len(got), len(want))
+	}
+	for name, wantData := range want {
+		gotData, ok := got[name]
+		if !ok {
+			t.Fatalf("missing output file %s", name)
+		}
+		if !bytes.Equal(gotData, wantData) {
+			t.Fatalf("%s differs from the reader-based oracle (%d vs %d bytes)",
+				name, len(gotData), len(wantData))
+		}
+	}
+}
+
 // TestBackHalfOutputParity is the bit-identical output suite: for every
 // combination of key width, task count, component splitting and filter mode,
-// the full back-half (pipelined delta merge + zero-copy overlapped CC-I/O)
-// must write byte-for-byte the same files as the reference back-half (dense
-// one-shot merge + reader-based re-parse output), and the star-broadcast
-// ablation must change nothing either.
+// the back-half (pipelined delta merge + zero-copy overlapped CC-I/O) must
+// reach the naive reference's components and write byte-for-byte the files
+// the reader-based oracle produces from its labels.
 func TestBackHalfOutputParity(t *testing.T) {
 	modes := []struct {
 		name string
@@ -127,62 +248,28 @@ func TestBackHalfOutputParity(t *testing.T) {
 	for mi, mode := range modes {
 		rng := rand.New(rand.NewSource(int64(300 + mi)))
 		td := overlappingDataset(t, rng, mode.opts, 4, 260, 160, 60)
-		for _, tasks := range []int{1, 2, 4} {
-			for _, split := range []int{0, 3} {
-				for _, flt := range filters {
+		for _, flt := range filters {
+			want := naiveLabels(td, mode.opts.K, false, flt.f)
+			for _, tasks := range []int{1, 2, 4} {
+				for _, split := range []int{0, 3} {
 					name := fmt.Sprintf("%s/P%d/split%d/%s", mode.name, tasks, split, flt.name)
 					t.Run(name, func(t *testing.T) {
-						base := Default(td.idx)
-						base.Tasks = tasks
-						base.Threads = 2
-						base.SplitComponents = split
-						base.Filter = flt.f
+						cfg := Default(td.idx)
+						cfg.Tasks = tasks
+						cfg.Threads = 2
+						cfg.SplitComponents = split
+						cfg.Filter = flt.f
 						// Force the prefetch goroutines on even on a
 						// single-CPU host, so parity covers the overlapped
 						// ring path everywhere.
-						base.PrefetchChunks = 2
-
-						ref := base
-						ref.SparseDeltaMerge = false
-						ref.OverlapOutput = false
-						ref.OutDir = t.TempDir()
-						wantRes, err := Run(ref)
+						cfg.PrefetchChunks = 2
+						cfg.OutDir = t.TempDir()
+						res, err := Run(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := readOutDir(t, ref.OutDir)
-
-						bh := base
-						bh.OutDir = t.TempDir()
-						gotRes, err := Run(bh)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSameLabels(t, canonLabels(wantRes.Labels), gotRes.Labels)
-
-						star := base
-						star.StarBroadcast = true
-						star.OutDir = t.TempDir()
-						if _, err := Run(star); err != nil {
-							t.Fatal(err)
-						}
-
-						for variant, dir := range map[string]string{"backhalf": bh.OutDir, "star": star.OutDir} {
-							got := readOutDir(t, dir)
-							if len(got) != len(want) {
-								t.Fatalf("%s: %d output files, reference has %d", variant, len(got), len(want))
-							}
-							for name, wantData := range want {
-								gotData, ok := got[name]
-								if !ok {
-									t.Fatalf("%s: missing output file %s", variant, name)
-								}
-								if !bytes.Equal(gotData, wantData) {
-									t.Fatalf("%s: %s differs from the reference path (%d vs %d bytes)",
-										variant, name, len(gotData), len(wantData))
-								}
-							}
-						}
+						assertSameLabels(t, want, res.Labels)
+						assertSameFiles(t, readerOutput(t, cfg, res), readOutDir(t, cfg.OutDir))
 					})
 				}
 			}
@@ -192,8 +279,8 @@ func TestBackHalfOutputParity(t *testing.T) {
 
 // TestZeroCopyReencodesNonCanonicalInput feeds the pipeline CRLF input —
 // which NextRaw must flag non-verbatim — and checks the partitioned output
-// matches the reader-based path byte for byte (both re-encode to canonical
-// form).
+// matches the reader-based oracle byte for byte (both re-encode to
+// canonical form, so no carriage return survives).
 func TestZeroCopyReencodesNonCanonicalInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	dir := t.TempDir()
@@ -216,27 +303,18 @@ func TestZeroCopyReencodesNonCanonicalInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := Default(idx)
-	ref.Tasks = 2
-	ref.OverlapOutput = false
-	ref.OutDir = t.TempDir()
-	if _, err := Run(ref); err != nil {
+	cfg := Default(idx)
+	cfg.Tasks = 2
+	cfg.OutDir = t.TempDir()
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	zc := Default(idx)
-	zc.Tasks = 2
-	zc.OutDir = t.TempDir()
-	if _, err := Run(zc); err != nil {
-		t.Fatal(err)
-	}
-	want := readOutDir(t, ref.OutDir)
-	got := readOutDir(t, zc.OutDir)
-	if len(got) != len(want) {
-		t.Fatalf("%d output files, reference has %d", len(got), len(want))
-	}
-	for name, wantData := range want {
-		if !bytes.Equal(got[name], wantData) {
-			t.Fatalf("%s differs between zero-copy and reader paths", name)
+	got := readOutDir(t, cfg.OutDir)
+	assertSameFiles(t, readerOutput(t, cfg, res), got)
+	for name, data := range got {
+		if bytes.IndexByte(data, '\r') >= 0 {
+			t.Fatalf("%s kept a carriage return: CRLF input was not re-encoded", name)
 		}
 	}
 }
@@ -245,33 +323,6 @@ func TestZeroCopyReencodesNonCanonicalInput(t *testing.T) {
 // reference on random size maps with deliberate ties.
 func TestTopComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	reference := func(sizes map[uint32]int, n int) []uint32 {
-		type comp struct {
-			root uint32
-			size int
-		}
-		all := make([]comp, 0, len(sizes))
-		for r, s := range sizes {
-			all = append(all, comp{r, s})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].size != all[j].size {
-				return all[i].size > all[j].size
-			}
-			return all[i].root < all[j].root
-		})
-		if n > len(all) {
-			n = len(all)
-		}
-		if n < 0 {
-			n = 0
-		}
-		roots := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			roots[i] = all[i].root
-		}
-		return roots
-	}
 	for trial := 0; trial < 50; trial++ {
 		sizes := make(map[uint32]int)
 		c := rng.Intn(40)
@@ -280,7 +331,7 @@ func TestTopComponents(t *testing.T) {
 			sizes[uint32(rng.Intn(1000))] = 1 + rng.Intn(6)
 		}
 		for _, n := range []int{0, 1, 2, 3, 10, len(sizes), len(sizes) + 5} {
-			want := reference(sizes, n)
+			want := topComponentsRef(sizes, n)
 			got := topComponents(sizes, n)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d n=%d: got %d roots, want %d", trial, n, len(got), len(want))

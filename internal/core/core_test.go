@@ -708,59 +708,6 @@ func TestManyPassesFewKmers(t *testing.T) {
 	assertSameLabels(t, want, res.Labels)
 }
 
-func TestSparseMergeMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	td := overlappingDataset(t, rng, smallOpts(), 4, 300, 200, 35)
-	dense := Default(td.idx)
-	dense.Tasks = 4
-	dense.SparseDeltaMerge = false // one-shot dense baseline
-	denseRes, err := Run(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse := dense
-	sparse.SparseMerge = true
-	sparseRes, err := Run(sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLabels(t, canonLabels(denseRes.Labels), sparseRes.Labels)
-	// Both runs must agree on everything observable.
-	if denseRes.Components != sparseRes.Components ||
-		denseRes.LargestSize != sparseRes.LargestSize {
-		t.Fatalf("dense %d/%d vs sparse %d/%d",
-			denseRes.Components, denseRes.LargestSize,
-			sparseRes.Components, sparseRes.LargestSize)
-	}
-}
-
-func TestSparseMergeReducesTrafficOnSparseGraphs(t *testing.T) {
-	// Mostly-singleton data (random reads): the sparse payload must be
-	// smaller than the dense 4R-byte arrays.
-	rng := rand.New(rand.NewSource(21))
-	td := genDataset(t, rng, smallOpts(), 2, 200, 50)
-	run := func(sparse bool) int64 {
-		cfg := Default(td.idx)
-		cfg.Tasks = 4
-		cfg.SparseDeltaMerge = false
-		cfg.SparseMerge = sparse
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bytes int64
-		for _, rep := range res.PerTask {
-			bytes += rep.BytesSent
-		}
-		return bytes
-	}
-	denseBytes := run(false)
-	sparseBytes := run(true)
-	if sparseBytes >= denseBytes {
-		t.Errorf("sparse merge sent %d bytes, dense %d", sparseBytes, denseBytes)
-	}
-}
-
 func TestSplitComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	td := overlappingDataset(t, rng, smallOpts(), 5, 350, 250, 35)
@@ -883,13 +830,6 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		cfg.Passes = 1 + rng.Intn(5)
 		cfg.Filter = filter
 		cfg.CCOpt = rng.Intn(2) == 0
-		switch rng.Intn(3) { // merge payload encoding: delta (default) / sparse / dense
-		case 1:
-			cfg.SparseDeltaMerge, cfg.SparseMerge = false, true
-		case 2:
-			cfg.SparseDeltaMerge = false
-		}
-		cfg.StarBroadcast = rng.Intn(2) == 0
 		cfg.DynamicOffsets = rng.Intn(4) == 0
 		cfg.NoVectorKmerGen = rng.Intn(4) == 0
 		res, err := Run(cfg)
@@ -900,8 +840,8 @@ func TestPipelineRandomizedConfigs(t *testing.T) {
 		g := canonLabels(res.Labels)
 		for i := range want {
 			if g[i] != want[i] {
-				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v sparse=%v): read %d got %d want %d",
-					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt, cfg.SparseMerge,
+				t.Fatalf("trial %d (P=%d T=%d S=%d %v ccopt=%v): read %d got %d want %d",
+					trial, cfg.Tasks, cfg.Threads, cfg.Passes, filter, cfg.CCOpt,
 					i, g[i], want[i])
 			}
 		}
@@ -1085,5 +1025,53 @@ func TestMemoryShrinksWithPasses(t *testing.T) {
 			t.Fatalf("S=%d memory %d not below S-previous %d", s, res.MemoryPerTask, prev)
 		}
 		prev = res.MemoryPerTask
+	}
+}
+
+// TestMemoryChargesDeltaShadowOnSenders pins the §3.7 inventory's delta
+// merge term: SnapshotDelta's 4R-byte shadow exists only on ranks that send
+// in the merge tree. A P=1 run merges nothing and rank 0 never sends, so
+// neither carries it; every other rank carries exactly 4R.
+func TestMemoryChargesDeltaShadowOnSenders(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	td := overlappingDataset(t, rng, smallOpts(), 3, 300, 160, 40)
+	// inventory is the planned memory of every term but the shadow.
+	inventory := func(cfg Config, rank int) int64 {
+		pl, err := newPlan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var maxChunk int64
+		for _, ci := range pl.taskChunks[rank] {
+			maxChunk = max(maxChunk, pl.idx.Chunks[ci].Size)
+		}
+		reads := int64(pl.idx.Reads)
+		return pl.idx.MemoryBytes() +
+			2*int64(pl.bufTuples[rank])*12 + // kmerOut and kmerIn (64-bit keys)
+			2*4*reads + // p and p′
+			int64(cfg.Threads)*int64(1+cfg.prefetchDepth())*maxChunk
+	}
+	shadow := 4 * int64(td.idx.Reads)
+	for _, tasks := range []int{1, 2} {
+		cfg := Default(td.idx)
+		cfg.Tasks = tasks
+		cfg.Threads = 2
+		cfg.PrefetchChunks = 2 // host-independent chunk-buffer term
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range res.PerTask {
+			var want int64
+			if rep.Rank != 0 {
+				want = shadow
+			}
+			if got := rep.MemoryBytes - inventory(cfg, rep.Rank); got != want {
+				t.Errorf("P=%d rank %d: shadow term %d bytes, want %d", tasks, rep.Rank, got, want)
+			}
+		}
+		if tasks == 1 && res.MemoryPerTask != inventory(cfg, 0) {
+			t.Errorf("P=1: MemoryPerTask %d carries a shadow term, want %d", res.MemoryPerTask, inventory(cfg, 0))
+		}
 	}
 }

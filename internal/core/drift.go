@@ -33,15 +33,18 @@ func driftCalibration(name string) (model.Calibration, bool, error) {
 }
 
 // modelCluster maps the run configuration onto the model's cluster shape.
+// The pipeline has one back half — the pipelined delta merge, the binomial
+// label broadcast and zero-copy overlapped output — so those model knobs
+// are constants here; the model keeps the alternatives for its paper-scale
+// comparison tables.
 func (c Config) modelCluster() model.Cluster {
 	m := model.Cluster{
 		P:                c.Tasks,
 		T:                c.Threads,
 		S:                c.Passes,
 		ChunkTuples:      c.ExchangeChunkTuples,
-		SparseDeltaMerge: c.SparseDeltaMerge,
-		StarBroadcast:    c.StarBroadcast,
-		OverlapOutput:    c.OverlapOutput,
+		SparseDeltaMerge: true,
+		OverlapOutput:    true,
 		SpillBudgetBytes: c.SpillBudgetBytes,
 		SpillCompress:    c.SpillCompress,
 	}

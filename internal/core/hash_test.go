@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,28 +15,25 @@ import (
 // and re-pin — never let old cached results alias the new scheme silently.
 func TestCanonicalHashGolden(t *testing.T) {
 	def := Config{Tasks: 1, Threads: 1, Passes: 1, CCOpt: true}
-	const wantDef = "2b25dc53ba4605aeff3d2f7b8c81915163792c704c5be3d32efb7e4142ba5844"
+	const wantDef = "a28eb32934f638298a5a21c42c36e20ab89c7458545c67fefaa1c8e24c589abe"
 	if got := def.CanonicalHash(); got != wantDef {
 		t.Errorf("CanonicalHash(default) = %s, want %s", got, wantDef)
 	}
 
 	full := Config{
-		Tasks:            4,
-		Threads:          8,
-		Passes:           2,
-		Filter:           Filter{Min: 2, Max: 1000},
-		CCOpt:            true,
-		SparseDeltaMerge: true,
-		StarBroadcast:    true,
-		OverlapOutput:    true,
-		SplitComponents:  3,
-		OutDir:           "out",
-		PrefetchChunks:   4,
-		DynamicOffsets:   true,
-		NoVectorKmerGen:  true,
-		Network:          &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
+		Tasks:           4,
+		Threads:         8,
+		Passes:          2,
+		Filter:          Filter{Min: 2, Max: 1000},
+		CCOpt:           true,
+		SplitComponents: 3,
+		OutDir:          "out",
+		PrefetchChunks:  4,
+		DynamicOffsets:  true,
+		NoVectorKmerGen: true,
+		Network:         &mpirt.NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 8e9},
 	}
-	const wantFull = "714155b18b08772aea078ee6d80c74aa69c174d6658956047ab5721f96c10e7a"
+	const wantFull = "d2896bb19712fd7d91a0ce9a5cfe0fb9b4c0340c7e2dfedbf8c8b5fb9d081277"
 	if got := full.CanonicalHash(); got != wantFull {
 		t.Errorf("CanonicalHash(full) = %s, want %s", got, wantFull)
 	}
@@ -62,17 +60,14 @@ func TestCanonicalHashEquivalentSpellings(t *testing.T) {
 		t.Errorf("nil vs zero NetworkModel hash differently: %s vs %s", want, got)
 	}
 
-	// With prefetch ablated, the configured depth is irrelevant.
-	noPre := base
-	noPre.NoPrefetch = true
-	noPre.PrefetchChunks = 7
-	noPre2 := base
-	noPre2.NoPrefetch = true
-	if noPre.CanonicalHash() != noPre2.CanonicalHash() {
-		t.Errorf("NoPrefetch configs with different depths hash differently")
-	}
-	if noPre.CanonicalHash() == want {
-		t.Errorf("NoPrefetch did not change the hash")
+	// The effective prefetch depth folds in the host's CPU count (0 on a
+	// single-CPU host); the hash must not, or a cache key would differ
+	// between machines.
+	prev := runtime.GOMAXPROCS(1)
+	single := base.CanonicalHash()
+	runtime.GOMAXPROCS(prev)
+	if single != want {
+		t.Errorf("GOMAXPROCS leaked into the hash: %s vs %s", want, single)
 	}
 
 	// Where spill scratch lives can never change a result: SpillDir is
@@ -130,10 +125,6 @@ func TestCanonicalHashSensitivity(t *testing.T) {
 		"filter.min":            func(c *Config) { c.Filter.Min = 2 },
 		"filter.max":            func(c *Config) { c.Filter.Max = 50 },
 		"ccopt":                 func(c *Config) { c.CCOpt = false },
-		"sparse_merge":          func(c *Config) { c.SparseMerge = true },
-		"sparse_delta_merge":    func(c *Config) { c.SparseDeltaMerge = true },
-		"star_broadcast":        func(c *Config) { c.StarBroadcast = true },
-		"overlap_output":        func(c *Config) { c.OverlapOutput = true },
 		"split_components":      func(c *Config) { c.SplitComponents = 2 },
 		"out_dir":               func(c *Config) { c.OutDir = "d" },
 		"prefetch_depth":        func(c *Config) { c.PrefetchChunks = 3 },

@@ -23,12 +23,12 @@ import (
 // Chunk input is overlapped with enumeration: each thread owns a small ring
 // of chunk buffers and an asynchronous reader goroutine that fills buffer
 // i+1 while the thread parses buffer i (depth controlled by
-// Config.PrefetchChunks, ablated by Config.NoPrefetch). Records are parsed
+// Config.PrefetchChunks and the host's CPU count). Records are parsed
 // in place by fastq.ChunkScanner — ID/Seq/Qual are sub-slices of the
 // resident chunk buffer, so the hot loop performs no per-record copies.
 // KmerGen-I/O therefore accounts only the *non-overlapped* read time: the
 // wait for a chunk that the prefetcher has not finished yet (the serial
-// ablation path still charges full read time).
+// single-CPU path still charges full read time).
 
 // kmerGen runs one pass of tuple enumeration on this task. On return,
 // kmerOut holds gl.total tuples grouped by destination task.

@@ -4,22 +4,35 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"metaprep/internal/index"
 )
 
-// runOnce executes the pipeline with the given prefetch settings applied on
+// runOnce executes the pipeline with the given prefetch depth applied on
 // top of cfg and returns the result.
-func runOnce(t *testing.T, cfg Config, noPrefetch bool, depth int) *Result {
+func runOnce(t *testing.T, cfg Config, depth int) *Result {
 	t.Helper()
-	cfg.NoPrefetch = noPrefetch
 	cfg.PrefetchChunks = depth
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("noPrefetch=%v depth=%d: %v", noPrefetch, depth, err)
+		t.Fatalf("depth=%d: %v", depth, err)
 	}
 	return res
+}
+
+// runSerial executes the pipeline on the serial chunk-read path: with one
+// schedulable CPU and no explicit depth, prefetchDepth is 0 and every chunk
+// is read on its enumerating thread. GOMAXPROCS is restored on return (no
+// core test runs in parallel, so the global setting is safe to borrow).
+func runSerial(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if d := cfg.prefetchDepth(); d != 0 {
+		t.Fatalf("prefetchDepth under GOMAXPROCS(1) = %d, want the serial path", d)
+	}
+	return runOnce(t, cfg, 0)
 }
 
 // assertIdenticalResults requires the bit-identical outputs the prefetch
@@ -40,7 +53,7 @@ func assertIdenticalResults(t *testing.T, want, got *Result, what string) {
 }
 
 // TestPrefetchAblationIdentical runs the pipeline with overlapped chunk I/O
-// off (the ablation) and on at several depths; every variant must produce
+// off (the serial single-CPU path) and on at several depths; every variant must produce
 // bit-identical results, since the prefetcher only changes when bytes are
 // read, never what is parsed.
 func TestPrefetchAblationIdentical(t *testing.T) {
@@ -52,10 +65,10 @@ func TestPrefetchAblationIdentical(t *testing.T) {
 	base.Threads = 2
 	base.Passes = 2
 
-	want := runOnce(t, base, true, 0) // serial reads, no overlap
-	assertIdenticalResults(t, want, runOnce(t, base, false, 0), "default depth")
+	want := runSerial(t, base) // serial reads, no overlap
+	assertIdenticalResults(t, want, runOnce(t, base, 0), "default depth")
 	for _, depth := range []int{1, 2, 3} {
-		res := runOnce(t, base, false, depth)
+		res := runOnce(t, base, depth)
 		assertIdenticalResults(t, want, res, fmt.Sprintf("depth %d", depth))
 	}
 	assertSameLabels(t, naiveLabels(td, 11, false, Filter{}), want.Labels)
@@ -72,12 +85,12 @@ func TestPrefetchLargeKAndDynamicOffsets(t *testing.T) {
 	base.Tasks = 2
 	base.Threads = 2
 
-	want := runOnce(t, base, true, 0)
-	assertIdenticalResults(t, want, runOnce(t, base, false, 2), "large-K prefetch")
+	want := runSerial(t, base)
+	assertIdenticalResults(t, want, runOnce(t, base, 2), "large-K prefetch")
 
 	dyn := base
 	dyn.DynamicOffsets = true
-	assertIdenticalResults(t, want, runOnce(t, dyn, false, 2), "dynamic offsets prefetch")
+	assertIdenticalResults(t, want, runOnce(t, dyn, 2), "dynamic offsets prefetch")
 }
 
 // TestPrefetchSingleChunkFiles exercises the serial fallback: with at most
@@ -89,6 +102,6 @@ func TestPrefetchSingleChunkFiles(t *testing.T) {
 
 	base := Default(td.idx)
 	base.Threads = 2
-	want := runOnce(t, base, true, 0)
-	assertIdenticalResults(t, want, runOnce(t, base, false, 4), "single chunk")
+	want := runSerial(t, base)
+	assertIdenticalResults(t, want, runOnce(t, base, 4), "single chunk")
 }

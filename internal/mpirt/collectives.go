@@ -2,20 +2,18 @@ package mpirt
 
 import "metaprep/internal/obsv"
 
-// This file adds the back-half collectives: the pipelined delta tree merge
-// (MergeCC's §3.6 reduction restructured so rounds stream sparse deltas over
-// the nonblocking primitives) and the tree/star broadcasts used to return
-// the global component array.
+// This file holds the back-half collectives: the pipelined delta tree merge
+// (MergeCC's §3.6 reduction, with rounds streaming sparse deltas over the
+// nonblocking primitives) and the binomial-tree broadcast that returns the
+// global component array.
 
-// PipelinedTreeMerge runs the §3.6 merge tree as a multi-round pipeline of
-// incremental payloads instead of one shot per rank.
+// PipelinedTreeMerge runs the §3.6 merge tree (Fig. 4) as a multi-round
+// pipeline of incremental payloads.
 //
-// In the classic TreeMerge a rank snapshots its whole state exactly once, in
-// the round its low bit selects. Here every non-zero rank x sends to its
-// fixed tree parent d(x) = x − lowbit(x) in each round j = 0 … r(x) (where
-// r(x) is the index of x's lowest set bit): round 0 carries x's baseline
-// state and each later round carries only what changed after absorbing the
-// previous round's children. Receivers fold children in ascending subtree
+// Every non-zero rank x sends to its fixed tree parent d(x) = x − lowbit(x)
+// in each round j = 0 … r(x) (where r(x) is the index of x's lowest set
+// bit): round 0 carries x's baseline state and each later round carries
+// only what changed after absorbing the previous round's children. Receivers fold children in ascending subtree
 // order; rank 0, the root, receives in every round and never sends.
 //
 // snapshot(j) must produce the round-j payload and its wire size; ownership
@@ -95,11 +93,11 @@ func (t *Task) PipelinedTreeMerge(tag int, snapshot func(round int) (any, int), 
 }
 
 // TreeBroadcast distributes rank 0's state to every task along the binomial
-// tree that mirrors TreeMerge's schedule, fanning out to all children with
-// nonblocking sends so the subtree transfers overlap. Each relay's sends are
-// charged to its own communication clock under the NetworkModel, so the
-// modeled critical path is ⌈log₂P⌉ hops instead of the star's P−1 serialized
-// sends from rank 0. On rank 0, send produces the payload per destination;
+// tree that mirrors PipelinedTreeMerge's parent links, fanning out to all
+// children with nonblocking sends so the subtree transfers overlap. Each
+// relay's sends are charged to its own communication clock under the
+// NetworkModel, so the modeled critical path is ⌈log₂P⌉ hops instead of
+// P−1 serialized sends from rank 0. On rank 0, send produces the payload per destination;
 // on other ranks recv consumes the inbound payload first and the task then
 // relays using send.
 func (t *Task) TreeBroadcast(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
@@ -144,21 +142,4 @@ func (t *Task) TreeBroadcast(tag int, send func(dst int) (any, int), recv func(s
 		top <<= 1
 	}
 	relay(top >> 1)
-}
-
-// StarBroadcast distributes rank 0's state with P−1 direct sends — the flat
-// schedule TreeBroadcast replaces, kept as an ablation path. All transfer
-// cost lands on rank 0's communication clock.
-func (t *Task) StarBroadcast(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
-	p := t.world.p
-	if t.rank != 0 {
-		recv(0, t.Recv(0, tag))
-		return
-	}
-	reqs := make([]*Request, 0, p-1)
-	for dst := 1; dst < p; dst++ {
-		payload, bytes := send(dst)
-		reqs = append(reqs, t.ISend(dst, tag, payload, bytes))
-	}
-	t.WaitAll(reqs)
 }

@@ -357,81 +357,3 @@ func (t *Task) AllToAll(tag int, send func(dst int) (any, int), recv func(src in
 		recv(src, t.Recv(src, tag))
 	}
 }
-
-// TreeMerge runs the ⌈log P⌉-round reduction of §3.6 (Fig. 4). In round r
-// the surviving ranks are the multiples of 2^r; of those, ranks with bit r
-// set send their state to (rank − 2^r) and drop out, and the receivers fold
-// the received state into their own. send produces this task's state and
-// its wire size; recv folds a peer's state in. TreeMerge reports whether
-// this task survived every round (true exactly for rank 0), i.e. holds the
-// fully merged state.
-func (t *Task) TreeMerge(tag int, send func(dst int) (any, int), recv func(src int, payload any)) bool {
-	p := t.world.p
-	obs := t.world.obs
-	round := 0
-	for step := 1; step < p; step <<= 1 {
-		if t.rank&(step-1) != 0 {
-			break // dropped out in an earlier round
-		}
-		if t.rank&step != 0 {
-			dst := t.rank - step
-			var sp obsv.Span
-			if obs != nil {
-				sp = obs.StartSpan(t.rank, obsv.TidComm, "comm", "merge-round")
-			}
-			payload, bytes := send(dst)
-			t.Send(dst, tag, payload, bytes)
-			if obs != nil {
-				sp.EndArgs(map[string]any{"round": round, "role": "send", "dst": dst, "bytes": bytes})
-			}
-			return false
-		}
-		if src := t.rank + step; src < p {
-			var sp obsv.Span
-			if obs != nil {
-				sp = obs.StartSpan(t.rank, obsv.TidComm, "comm", "merge-round")
-			}
-			recv(src, t.Recv(src, tag))
-			if obs != nil {
-				sp.EndArgs(map[string]any{"round": round, "role": "recv+fold", "src": src})
-			}
-		}
-		round++
-	}
-	return t.rank == 0
-}
-
-// Broadcast distributes rank 0's state to every task along a binomial tree
-// (the reverse of TreeMerge's schedule). On rank 0, send must produce the
-// payload for each destination; on other ranks recv first consumes the
-// payload, after which the task relays it onward using send. size gives the
-// wire size of the relayed payload.
-func (t *Task) Broadcast(tag int, send func(dst int) (any, int), recv func(src int, payload any)) {
-	p := t.world.p
-	// Find the highest step at which this rank receives: rank r (> 0)
-	// receives from r with its lowest set bit cleared.
-	if t.rank != 0 {
-		low := t.rank & -t.rank
-		src := t.rank ^ low
-		recv(src, t.Recv(src, tag))
-		// Relay to ranks below the lowest set bit.
-		for step := low >> 1; step >= 1; step >>= 1 {
-			if dst := t.rank + step; dst < p {
-				payload, bytes := send(dst)
-				t.Send(dst, tag, payload, bytes)
-			}
-		}
-		return
-	}
-	// Rank 0 seeds the tree from the top bit down.
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		if dst := t.rank + step; dst < p {
-			payload, bytes := send(dst)
-			t.Send(dst, tag, payload, bytes)
-		}
-	}
-}

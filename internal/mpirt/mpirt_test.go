@@ -108,54 +108,6 @@ func TestAllToAllRepeated(t *testing.T) {
 	}
 }
 
-func TestTreeMerge(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 8, 16, 17} {
-		w := NewWorld(p, nil)
-		// Each rank holds the singleton set {rank}; the merged state at rank
-		// 0 must be the full set.
-		err := w.Run(func(task *Task) error {
-			sum := task.Rank()
-			root := task.TreeMerge(2,
-				func(dst int) (any, int) { return sum, 8 },
-				func(src int, payload any) { sum += payload.(int) },
-			)
-			if root != (task.Rank() == 0) {
-				return fmt.Errorf("p=%d rank %d: root=%v", p, task.Rank(), root)
-			}
-			if root && sum != p*(p-1)/2 {
-				return fmt.Errorf("p=%d: merged sum %d, want %d", p, sum, p*(p-1)/2)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 8, 16, 17} {
-		w := NewWorld(p, nil)
-		err := w.Run(func(task *Task) error {
-			value := -1
-			if task.Rank() == 0 {
-				value = 12345
-			}
-			task.Broadcast(3,
-				func(dst int) (any, int) { return value, 8 },
-				func(src int, payload any) { value = payload.(int) },
-			)
-			if value != 12345 {
-				return fmt.Errorf("p=%d rank %d: value %d after broadcast", p, task.Rank(), value)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestNetworkModelCost(t *testing.T) {
 	m := &NetworkModel{Latency: time.Microsecond, BandwidthBytesPerSec: 1e9}
 	if got := m.Cost(0); got != time.Microsecond {

@@ -421,6 +421,13 @@ func TestErrorMapping(t *testing.T) {
 		{"nonexistent index", `{"index": "/nope/missing.idx"}`, http.StatusBadRequest},
 		{"invalid filter", fmt.Sprintf(`{"index": %q, "kf_min": 9, "kf_max": 3}`, idxPath), http.StatusBadRequest},
 		{"negative split", fmt.Sprintf(`{"index": %q, "split_components": -1}`, idxPath), http.StatusBadRequest},
+		// There is one back half and one prefetch policy, so their
+		// selector fields are unknown fields.
+		{"removed sparse_merge", fmt.Sprintf(`{"index": %q, "sparse_merge": true}`, idxPath), http.StatusBadRequest},
+		{"removed sparse_delta_merge", fmt.Sprintf(`{"index": %q, "sparse_delta_merge": true}`, idxPath), http.StatusBadRequest},
+		{"removed star_broadcast", fmt.Sprintf(`{"index": %q, "star_broadcast": false}`, idxPath), http.StatusBadRequest},
+		{"removed overlap_output", fmt.Sprintf(`{"index": %q, "overlap_output": true}`, idxPath), http.StatusBadRequest},
+		{"removed no_prefetch", fmt.Sprintf(`{"index": %q, "no_prefetch": true}`, idxPath), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -235,20 +235,6 @@ func (d *DSU) Absorb(p []uint32, workers int) {
 	}
 }
 
-// Snapshot copies the parent array into dst (allocating if nil) for
-// transmission to another task in MergeCC. The copy is taken with atomic
-// loads so it is safe even if other goroutines are still quiescing.
-func (d *DSU) Snapshot(dst []uint32) []uint32 {
-	if cap(dst) < len(d.parent) {
-		dst = make([]uint32, len(d.parent))
-	}
-	dst = dst[:len(d.parent)]
-	for i := range d.parent {
-		dst[i] = atomic.LoadUint32(&d.parent[i])
-	}
-	return dst
-}
-
 // Flatten fully compresses every path so parent[i] is i's component root,
 // then returns the parent slice. Call only after all concurrent work is
 // done; the result is the component label array ("p" in the paper).
@@ -281,26 +267,10 @@ func (d *DSU) LargestComponent() (root uint32, size int) {
 	return root, size
 }
 
-// SnapshotSparse encodes the non-trivial parent entries as interleaved
-// (vertex, parent) pairs — the sparse MergeCC payload. When most reads are
-// singletons (highly diverse metagenomes), the pairs are much smaller than
-// the dense 4R-byte array; this is the direction of the component-
-// contraction methods the paper's future work points at.
-func (d *DSU) SnapshotSparse(dst []uint32) []uint32 {
-	dst = dst[:0]
-	for i := range d.parent {
-		p := atomic.LoadUint32(&d.parent[i])
-		if p != uint32(i) {
-			dst = append(dst, uint32(i), p)
-		}
-	}
-	return dst
-}
-
 // SnapshotDelta encodes, as interleaved (vertex, parent) pairs, exactly the
 // entries whose parent changed since the previous SnapshotDelta on this DSU.
 // The first call is the epoch-0 baseline and returns every non-trivial entry
-// (identical to SnapshotSparse). Each call advances the delta epoch: entries
+// — the sparse snapshot of the whole partition. Each call advances the delta epoch: entries
 // reported once are not reported again unless they change again, so the
 // union of all deltas ever returned reconstructs the DSU's partition at the
 // time of the last call. This is the pipelined MergeCC wire payload: a task

@@ -180,7 +180,7 @@ func TestAbsorbEquivalentToUnionOfEdgeSets(t *testing.T) {
 		d0, d1 := New(n), New(n)
 		d0.ProcessEdges(e1, 4)
 		d1.ProcessEdges(e2, 4)
-		d0.Absorb(d1.Snapshot(nil), 4)
+		d0.Absorb(append([]uint32(nil), d1.parent...), 4)
 
 		want := canon(ref.Flatten(1))
 		got := canon(d0.Flatten(1))
@@ -194,16 +194,22 @@ func TestAbsorbEquivalentToUnionOfEdgeSets(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	d := New(4)
-	s := d.Snapshot(nil)
 	d.Connect(0, 1)
-	if s[0] != 0 {
-		t.Error("Snapshot aliased live parent array")
+	s := d.SnapshotDelta(nil)
+	if len(s) != 2 {
+		t.Fatalf("baseline delta = %v, want one pair", s)
 	}
-	// Snapshot into a provided buffer reuses it.
-	buf := make([]uint32, 4)
-	s2 := d.Snapshot(buf)
-	if &s2[0] != &buf[0] {
-		t.Error("Snapshot did not reuse the provided buffer")
+	v, p := s[0], s[1]
+	d.Connect(v, 2)
+	d.Connect(2, 3)
+	if s[0] != v || s[1] != p {
+		t.Error("SnapshotDelta aliased the live parent array")
+	}
+	// A delta into a provided buffer reuses it.
+	buf := make([]uint32, 0, 8)
+	s2 := d.SnapshotDelta(buf)
+	if len(s2) == 0 || &s2[0] != &buf[:1][0] {
+		t.Error("SnapshotDelta did not reuse the provided buffer")
 	}
 }
 
@@ -318,7 +324,8 @@ func TestSparseSnapshotAbsorb(t *testing.T) {
 		d0, d1 := New(n), New(n)
 		d0.ProcessEdges(e1, 4)
 		d1.ProcessEdges(e2, 4)
-		pairs := d1.SnapshotSparse(nil)
+		// The baseline delta is the sparse snapshot of the whole partition.
+		pairs := d1.SnapshotDelta(nil)
 		// Sparse payload must be smaller than dense for sparse graphs.
 		if len(pairs) > 2*n {
 			t.Fatalf("sparse snapshot has %d entries for %d vertices", len(pairs), n)
@@ -337,7 +344,7 @@ func TestSparseSnapshotAbsorb(t *testing.T) {
 
 func TestSparseSnapshotEmpty(t *testing.T) {
 	d := New(10)
-	if pairs := d.SnapshotSparse(nil); len(pairs) != 0 {
+	if pairs := d.SnapshotDelta(nil); len(pairs) != 0 {
 		t.Fatalf("fresh DSU sparse snapshot = %v", pairs)
 	}
 	d.AbsorbPairs(nil, 2) // must not panic
@@ -364,9 +371,15 @@ func TestSnapshotDeltaIncremental(t *testing.T) {
 				t.Fatalf("epoch after %d deltas = %d", r+1, sender.DeltaEpoch())
 			}
 			if r == 0 {
-				// Baseline delta must equal the sparse snapshot of the same state.
-				if got, want := len(buf), len(sender.SnapshotSparse(nil)); got != want {
-					t.Fatalf("baseline delta %d pairs, sparse snapshot %d", got, want)
+				// The baseline delta carries every non-trivial entry.
+				want := 0
+				for i, p := range sender.parent {
+					if p != uint32(i) {
+						want += 2
+					}
+				}
+				if got := len(buf); got != want {
+					t.Fatalf("baseline delta %d entries, %d non-trivial", got, want)
 				}
 			}
 			sink.AbsorbPairs(buf, 4)
