@@ -126,7 +126,7 @@ func run(args []string, sigc chan os.Signal) error {
 	serveArtifact := fs.String("serve-artifact", "", "partition artifact (.mpa) or prebuilt lookup (.mplk) to serve on POST /query from startup (empty = serve nothing until -serve-key matches a commit)")
 	serveKey := fs.String("serve-key", "", "artifact-store name to follow for query hot-swap: every commit under this name rebuilds and atomically swaps the served lookup; 'auto' adopts the first committed partition artifact (empty disables the query tier unless -serve-artifact is set)")
 	serveShards := fs.Int("serve-shards", 0, "lookup shard count for query parallelism (0 = default)")
-	queryMaxBatch := fs.Int("query-max-batch", 4096, "max items (k-mers + sequences) per /query request")
+	queryMaxBatch := fs.Int("query-max-batch", 4096, "max k-mers probed per /query request: listed k-mers plus each sequence's length-k+1 windows (larger requests get 400)")
 	queryConcurrency := fs.Int("query-concurrency", 64, "max /query requests in flight; excess is rejected 429")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,10 +1,5 @@
 package lookup
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Result is one key's answer in a batch run.
 type Result struct {
 	Label uint32
@@ -12,162 +7,35 @@ type Result struct {
 	Found bool
 }
 
-// Batcher executes lookup batches shard-parallel on a fixed pool of
-// persistent worker goroutines. Keys are bucketed by shard first (a
-// counting sort over scratch buffers drawn from a pool), then contiguous
-// shard groups are handed to workers, so each worker's page touches stay
-// inside its shards and no goroutine is spawned per request — after
-// warm-up a Run performs zero allocations (pinned by TestBatcherZeroAlloc).
-type Batcher struct {
-	workers int
-	jobs    chan batchJob
-	done    sync.WaitGroup
-	scratch sync.Pool
-}
-
-type batchJob struct {
-	lk     *Lookup
-	s0, s1 int32 // shard group [s0, s1)
-	hi, lo []uint64
-	out    []Result
-	perm   []int32
-	start  []int32
-	wg     *sync.WaitGroup
-}
-
-type batchScratch struct {
-	sh    []int32 // shard per key
-	perm  []int32 // key indexes grouped by shard
-	start []int32 // shard group offsets into perm (len shards+1)
-	pos   []int32 // scatter cursors
-	wg    sync.WaitGroup
-}
-
-// NewBatcher starts a pool of workers (GOMAXPROCS when workers ≤ 0). Close
-// it when done.
-func NewBatcher(workers int) *Batcher {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	b := &Batcher{workers: workers, jobs: make(chan batchJob, workers)}
-	b.scratch.New = func() any { return new(batchScratch) }
-	b.done.Add(workers)
-	for i := 0; i < workers; i++ {
-		go b.worker()
-	}
-	return b
-}
-
-// Workers returns the pool size.
-func (b *Batcher) Workers() int { return b.workers }
-
-func (b *Batcher) worker() {
-	defer b.done.Done()
-	for j := range b.jobs {
-		for s := j.s0; s < j.s1; s++ {
-			for x := j.start[s]; x < j.start[s+1]; x++ {
-				i := j.perm[x]
-				var hi uint64
-				if j.hi != nil {
-					hi = j.hi[i]
-				}
-				lab, cnt, ok := j.lk.GetInShard(int(s), hi, j.lo[i])
-				j.out[i] = Result{Label: lab, Count: cnt, Found: ok}
-			}
-		}
-		j.wg.Done()
-	}
-}
-
-// Close stops the worker pool; Run must not be called afterwards.
-func (b *Batcher) Close() {
-	close(b.jobs)
-	b.done.Wait()
-}
-
-// smallBatch is the size below which bucketing costs more than it saves.
-const smallBatch = 32
-
-// Run answers out[i] for key (hi[i], lo[i]); hi may be nil for 64-bit
-// lookups. len(out) must equal len(lo). Safe for concurrent use.
-func (b *Batcher) Run(lk *Lookup, hi, lo []uint64, out []Result) {
-	n := len(lo)
-	if n == 0 {
-		return
-	}
-	shards := lk.Shards()
-	if n < smallBatch || b.workers == 1 || shards == 1 {
-		runSeq(lk, hi, lo, out)
-		return
-	}
-	sc := b.scratch.Get().(*batchScratch)
-	if cap(sc.sh) < n {
-		sc.sh = make([]int32, n)
-		sc.perm = make([]int32, n)
-	}
-	sc.sh = sc.sh[:n]
-	sc.perm = sc.perm[:n]
-	if cap(sc.start) < shards+1 {
-		sc.start = make([]int32, shards+1)
-		sc.pos = make([]int32, shards+1)
-	}
-	sc.start = sc.start[:shards+1]
-	sc.pos = sc.pos[:shards+1]
-
-	// Counting sort by shard.
-	for s := range sc.start {
-		sc.start[s] = 0
-	}
-	for i := 0; i < n; i++ {
-		var h uint64
-		if hi != nil {
-			h = hi[i]
-		}
-		s := int32(lk.ShardOf(h, lo[i]))
-		sc.sh[i] = s
-		sc.start[s+1]++
-	}
-	for s := 1; s <= shards; s++ {
-		sc.start[s] += sc.start[s-1]
-	}
-	copy(sc.pos, sc.start)
-	for i := 0; i < n; i++ {
-		s := sc.sh[i]
-		sc.perm[sc.pos[s]] = int32(i)
-		sc.pos[s]++
-	}
-
-	// Greedy split of the shard sequence into ≤workers groups of roughly
-	// equal key count.
-	target := int32((n + b.workers - 1) / b.workers)
-	var s0 int32
-	var acc int32
-	jobs := 0
-	for s := int32(0); s < int32(shards); s++ {
-		acc += sc.start[s+1] - sc.start[s]
-		if acc >= target || s == int32(shards)-1 {
-			sc.wg.Add(1)
-			jobs++
-			b.jobs <- batchJob{
-				lk: lk, s0: s0, s1: s + 1,
-				hi: hi, lo: lo, out: out,
-				perm: sc.perm, start: sc.start, wg: &sc.wg,
-			}
-			s0, acc = s+1, 0
-		}
-	}
-	_ = jobs
-	sc.wg.Wait()
-	b.scratch.Put(sc)
-}
-
-func runSeq(lk *Lookup, hi, lo []uint64, out []Result) {
+// GetBatch answers out[i] for key (hi[i], lo[i]); hi may be nil for 64-bit
+// lookups. len(out) must equal len(lo). It probes on the caller's
+// goroutine and allocates nothing: a served request is already one
+// goroutine, and concurrent requests are what keep the CPUs busy, so a
+// hand-off to other goroutines would only add a park per batch.
+func (l *Lookup) GetBatch(hi, lo []uint64, out []Result) {
 	for i := range lo {
 		var h uint64
 		if hi != nil {
 			h = hi[i]
 		}
-		lab, cnt, ok := lk.Get(h, lo[i])
+		lab, cnt, ok := l.Get(h, lo[i])
 		out[i] = Result{Label: lab, Count: cnt, Found: ok}
 	}
+}
+
+// Batcher is a stateless batch-probe handle: Run is Lookup.GetBatch on the
+// caller's goroutine. NewBatcher, Run and Close keep their signatures for
+// callers that time the probe layer through them, such as the repository
+// benchmark; new code calls GetBatch.
+type Batcher struct{}
+
+// NewBatcher returns a Batcher; workers is ignored.
+func NewBatcher(workers int) *Batcher { return &Batcher{} }
+
+// Close is a no-op, kept for existing callers.
+func (b *Batcher) Close() {}
+
+// Run is lk.GetBatch(hi, lo, out). Safe for concurrent use.
+func (b *Batcher) Run(lk *Lookup, hi, lo []uint64, out []Result) {
+	lk.GetBatch(hi, lo, out)
 }

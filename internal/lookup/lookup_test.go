@@ -22,7 +22,7 @@ type refEntry struct {
 // sorted keys, 1–3 tuples per key, and a deterministic label per key.
 // labelBase offsets every label so two artifacts over the same keys can be
 // told apart (the swap torture test relies on this).
-func writeTestArtifact(t *testing.T, path string, nkeys int, wide bool, labelBase uint32, seed int64) []refEntry {
+func writeTestArtifact(t testing.TB, path string, nkeys int, wide bool, labelBase uint32, seed int64) []refEntry {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	k := 21
@@ -95,7 +95,7 @@ func writeTestArtifact(t *testing.T, path string, nkeys int, wide bool, labelBas
 	return keys
 }
 
-func buildTestLookup(t *testing.T, dir string, nkeys int, wide bool, shards int) (*Lookup, []refEntry) {
+func buildTestLookup(t testing.TB, dir string, nkeys int, wide bool, shards int) (*Lookup, []refEntry) {
 	t.Helper()
 	apath := filepath.Join(dir, "a.mpa")
 	ref := writeTestArtifact(t, apath, nkeys, wide, 0, 42)
@@ -375,5 +375,25 @@ func TestBatcherZeroAlloc(t *testing.T) {
 		b.Run(l, nil, lo, out)
 	}); a != 0 {
 		t.Fatalf("Batcher.Run allocates %v per run after warm-up", a)
+	}
+}
+
+// BenchmarkLookupGet times one probe of a 10⁵-key lookup, cycling through
+// a fixed mix of present keys and one-in-ten misses.
+func BenchmarkLookupGet(b *testing.B) {
+	l, ref := buildTestLookup(b, b.TempDir(), 100_000, false, DefaultShards)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		keys[i] = ref[rng.Intn(len(ref))].lo
+		if i%10 == 0 {
+			keys[i] ^= 0x55
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		l.Get(0, keys[i&(len(keys)-1)])
+		i++
 	}
 }

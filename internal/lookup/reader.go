@@ -258,9 +258,9 @@ func (l *Lookup) Blocks() int { return l.nblocks }
 // Shards returns the shard count.
 func (l *Lookup) Shards() int { return len(l.shardStart) - 1 }
 
-// ShardOf returns the shard whose key range contains (hi, lo). Keys below
+// shardOf returns the shard whose key range contains (hi, lo). Keys below
 // the first fence map to shard 0, where the block search reports a miss.
-func (l *Lookup) ShardOf(hi, lo uint64) int {
+func (l *Lookup) shardOf(hi, lo uint64) int {
 	i, j := 0, len(l.shardHi)
 	for i < j {
 		m := int(uint(i+j) >> 1)
@@ -279,16 +279,10 @@ func (l *Lookup) ShardOf(hi, lo uint64) int {
 // Get returns the component label and multiplicity for a canonical k-mer
 // key, ok=false if the key is not present. It allocates nothing.
 func (l *Lookup) Get(hi, lo uint64) (label, count uint32, ok bool) {
-	return l.GetInShard(l.ShardOf(hi, lo), hi, lo)
-}
-
-// GetInShard is Get with the shard already resolved (batch execution
-// buckets keys by shard first, so the shard search is done once per run of
-// keys, and all block pages a worker touches belong to one shard).
-func (l *Lookup) GetInShard(shard int, hi, lo uint64) (label, count uint32, ok bool) {
 	if !l.wide && hi != 0 {
 		return 0, 0, false
 	}
+	shard := l.shardOf(hi, lo)
 	// Last block in the shard whose fence is ≤ key.
 	i, j := int(l.shardStart[shard]), int(l.shardStart[shard+1])
 	for i < j {

@@ -141,8 +141,8 @@ func TestSwapTorture(t *testing.T) {
 	}
 }
 
-// TestSwapUnderBatcher swaps while batch queries run through the worker
-// pool, ensuring the epoch pin covers a whole batch.
+// TestSwapUnderBatcher swaps while batch queries run, ensuring the epoch
+// pin covers a whole batch.
 func TestSwapUnderBatcher(t *testing.T) {
 	dir := t.TempDir()
 	l, ref := buildTestLookup(t, dir, 1000, false, 4)

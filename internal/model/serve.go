@@ -41,10 +41,12 @@ func PredictQuerySeconds(cal Calibration, keys uint64, batch int) time.Duration 
 }
 
 // PredictServeQPS estimates sustained closed-loop requests/s at concurrency
-// conc: each in-flight request occupies one worker for its service time,
-// and the probe work itself cannot exceed the machine's effective
-// parallelism (CoreCap, the same memory-bandwidth ceiling the pipeline
-// kernels hit).
+// conc: each in-flight request occupies one worker for its service time —
+// the tier answers a request on its own handler goroutine in one probe
+// pass, so this is how the server runs too — and the probe work itself
+// cannot exceed the machine's effective parallelism (CoreCap, the same
+// memory-bandwidth ceiling the pipeline kernels hit). It prices probes
+// only; request decode and response encode are not modeled.
 func PredictServeQPS(cal Calibration, conc int, keys uint64, batch int) float64 {
 	if conc <= 0 {
 		return 0

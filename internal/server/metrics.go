@@ -110,8 +110,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "metaprepd_model_drift_ratio{step=\"spill\"} %s\n", fmtFloat(d.SpillRatio))
 	}
 
-	// Query tier: lookup state gauges, traffic counters and the request
-	// latency histogram (admission to response encode).
+	// Query tier: lookup state gauges, traffic counters, the request
+	// latency histogram (admission through response encode) and its split
+	// into request phases.
 	if t := s.opts.Query; t != nil {
 		var keys, epoch uint64
 		if ep, ok := t.swap.Acquire(); ok {
@@ -134,7 +135,14 @@ func (s *Server) writeMetrics(w io.Writer) {
 		family(w, "metaprepd_query_swaps_total", "Lookup publications (initial serve + hot swaps).", "counter")
 		fmt.Fprintf(w, "metaprepd_query_swaps_total %d\n", t.swaps.Load())
 		writeHistFamily(w, "metaprepd_query_seconds",
-			"Query request latency (admission to response encode).", []labeledHist{{"", t.hist.Snapshot()}}, les)
+			"Query request latency (admission through response encode).", []labeledHist{{"", t.hist.Snapshot()}}, les)
+		writeHistFamily(w, "metaprepd_query_phase_seconds",
+			"Answered query time per phase: body decode, probe execution, response encode and write.",
+			[]labeledHist{
+				{`phase="decode"`, t.decodeHist.Snapshot()},
+				{`phase="encode"`, t.encodeHist.Snapshot()},
+				{`phase="execute"`, t.executeHist.Snapshot()},
+			}, les)
 	}
 
 	// Per-job pipeline counters: the obsv snapshot, one sample per

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -180,12 +181,22 @@ func validateProm(t *testing.T, text string) {
 	}
 }
 
-// TestMetricsStrictFormat runs a real job through the daemon and holds the
-// full /metrics output to the strict format check, then spot-checks the
-// families the observability layer added.
+// TestMetricsStrictFormat runs a real job and a query through the daemon
+// and holds the full /metrics output to the strict format check, then
+// spot-checks the families the observability layer added.
 func TestMetricsStrictFormat(t *testing.T) {
 	idxPath := buildIndexFile(t, 41)
-	srv, _ := newTestServer(t, jobs.Options{}, Options{OrphansSwept: 7})
+	dir := t.TempDir()
+	kms, _ := writeQueryArtifact(t, filepath.Join(dir, "q.mpa"), 60, 0, 3)
+	tier, err := NewQueryTier(QueryOptions{Dir: filepath.Join(dir, "serve"), Artifact: filepath.Join(dir, "q.mpa")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tier.Close)
+	srv, _ := newTestServer(t, jobs.Options{}, Options{OrphansSwept: 7, Query: tier})
+	if resp, data := postJSON(t, srv.URL+"/query", fmt.Sprintf(`{"kmers":[%q]}`, kms[0])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, data)
+	}
 
 	resp, data := postJSON(t, srv.URL+"/jobs", fmt.Sprintf(`{"index":%q,"tasks":2,"threads":2}`, idxPath))
 	if resp.StatusCode != http.StatusAccepted {
@@ -237,6 +248,9 @@ func TestMetricsStrictFormat(t *testing.T) {
 		`metaprepd_model_drift_ratio{step="spill"}`,
 		`metaprepd_jobs{state="done"} 1`,
 		"metaprepd_job_counter{",
+		`metaprepd_query_phase_seconds_bucket{phase="decode",le="+Inf"} 1`,
+		`metaprepd_query_phase_seconds_count{phase="execute"} 1`,
+		`metaprepd_query_phase_seconds_sum{phase="encode"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -5,8 +5,9 @@ package server
 // memory-mapped lookup file (internal/lookup) built out of a partition
 // artifact. The tier hot-swaps the served lookup when the artifact store
 // admits a newer artifact for the followed key, admission-controls bursts
-// with the jobs-layer 429 machinery, and reports latency through an obsv
-// log2 histogram (metaprepd_query_seconds).
+// with the jobs-layer 429 machinery, and reports latency through obsv log2
+// histograms (metaprepd_query_seconds, and metaprepd_query_phase_seconds
+// split into decode, execute and encode).
 
 import (
 	"encoding/json"
@@ -15,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -46,14 +46,13 @@ type QueryOptions struct {
 	Key string
 	// Shards is the lookup build shard count (default lookup.DefaultShards).
 	Shards int
-	// MaxBatch bounds the items (k-mers + sequences) per request (default
-	// 8192); larger requests are rejected with 400.
+	// MaxBatch bounds the k-mers probed per request (default 8192): every
+	// listed k-mer plus each sequence's len−k+1 windows. A larger request
+	// is rejected with 400 before any probe scratch grows.
 	MaxBatch int
 	// MaxConcurrent bounds requests in flight; excess is rejected with 429
 	// + Retry-After, reusing the jobs-layer admission contract (default 64).
 	MaxConcurrent int
-	// Workers sizes the shard-parallel batch pool (default GOMAXPROCS).
-	Workers int
 	// Logger receives swap and rebuild records. Nil logs nothing.
 	Logger *slog.Logger
 }
@@ -66,10 +65,12 @@ type QueryTier struct {
 	opts QueryOptions
 	lg   *slog.Logger
 
-	swap    *lookup.Swapper
-	batcher *lookup.Batcher
-	sem     chan struct{}
-	hist    *obsv.Histogram
+	swap *lookup.Swapper
+	sem  chan struct{}
+	hist *obsv.Histogram
+	// Answered requests' phases: body decode, Execute, response encode
+	// and write (metaprepd_query_phase_seconds).
+	decodeHist, executeHist, encodeHist *obsv.Histogram
 
 	queries  atomic.Uint64
 	kmers    atomic.Uint64
@@ -89,9 +90,12 @@ type QueryTier struct {
 	scratch sync.Pool
 }
 
+// queryScratch holds one request's probe keys and results: the k-mers
+// first, then every sequence's windows, with ends[i] closing sequence i.
 type queryScratch struct {
 	hi, lo []uint64
 	res    []lookup.Result
+	ends   []int
 	labs   []uint32
 }
 
@@ -114,25 +118,23 @@ func NewQueryTier(opts QueryOptions) (*QueryTier, error) {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 64
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	t := &QueryTier{
-		opts:     opts,
-		lg:       opts.Logger,
-		swap:     lookup.NewSwapper(),
-		batcher:  lookup.NewBatcher(opts.Workers),
-		sem:      make(chan struct{}, opts.MaxConcurrent),
-		hist:     obsv.NewHistogram(),
-		key:      opts.Key,
-		rebuildC: make(chan string, 1),
-		quit:     make(chan struct{}),
+		opts:        opts,
+		lg:          opts.Logger,
+		swap:        lookup.NewSwapper(),
+		sem:         make(chan struct{}, opts.MaxConcurrent),
+		hist:        obsv.NewHistogram(),
+		decodeHist:  obsv.NewHistogram(),
+		executeHist: obsv.NewHistogram(),
+		encodeHist:  obsv.NewHistogram(),
+		key:         opts.Key,
+		rebuildC:    make(chan string, 1),
+		quit:        make(chan struct{}),
 	}
 	t.scratch.New = func() any { return new(queryScratch) }
 	if opts.Artifact != "" {
 		lk, file, err := t.buildLookup(opts.Artifact)
 		if err != nil {
-			t.batcher.Close()
 			return nil, err
 		}
 		t.swap.Swap(lk)
@@ -246,12 +248,11 @@ func (t *QueryTier) rebuildLoop() {
 	}
 }
 
-// Close stops the rebuild loop and worker pool and unpublishes the served
-// lookup (closing it once in-flight queries drain).
+// Close stops the rebuild loop and unpublishes the served lookup (closing
+// it once in-flight queries drain).
 func (t *QueryTier) Close() {
 	close(t.quit)
 	t.wg.Wait()
-	t.batcher.Close()
 	t.swap.Stop()
 }
 
@@ -295,15 +296,14 @@ type QueryResponse struct {
 	Sequences []SequenceAnswer `json:"sequences,omitempty"`
 }
 
-// Execute runs one query batch against the pinned current epoch. It
-// returns the HTTP status to use on error.
+// Execute runs one query batch against the pinned current epoch, on the
+// caller's goroutine: it gathers the canonical keys of every k-mer and of
+// every sequence window, probes them in one pass, then slices the results
+// per sequence for the majority vote. It returns the HTTP status to use on
+// error.
 func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 	if len(req.Kmers)+len(req.Sequences) == 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("empty query: provide kmers or sequences")
-	}
-	if len(req.Kmers)+len(req.Sequences) > t.opts.MaxBatch {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds max_batch %d", len(req.Kmers)+len(req.Sequences), t.opts.MaxBatch)
 	}
 	ep, ok := t.swap.Acquire()
 	if !ok {
@@ -313,28 +313,58 @@ func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 	lk := ep.Lookup()
 	m := lk.Meta()
 
+	// Bound the probe work before any scratch grows: a sequence of length
+	// L scans at most L−k+1 windows.
+	n := len(req.Kmers)
+	for _, seq := range req.Sequences {
+		n += max(0, len(seq)-m.K+1)
+	}
+	if n > t.opts.MaxBatch {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("batch of %d k-mers (sequences count len-k+1 windows) exceeds max_batch %d", n, t.opts.MaxBatch)
+	}
+
 	sc := t.scratch.Get().(*queryScratch)
 	defer t.scratch.Put(sc)
+	sc.grow(n)
+	for i, ks := range req.Kmers {
+		if len(ks) != m.K {
+			return nil, http.StatusBadRequest,
+				fmt.Errorf("kmers[%d]: length %d, want k=%d", i, len(ks), m.K)
+		}
+		if !encodeCanonical(ks, m.K, m.Wide, &sc.hi[i], &sc.lo[i]) {
+			return nil, http.StatusBadRequest,
+				fmt.Errorf("kmers[%d]: invalid base (ACGT only)", i)
+		}
+	}
+	n = len(req.Kmers)
+	sc.ends = sc.ends[:0]
+	for _, seq := range req.Sequences {
+		if m.Wide {
+			kmer.ForEach128([]byte(seq), m.K, func(_ int, km kmer.Kmer128) {
+				sc.hi[n], sc.lo[n] = km.Hi, km.Lo
+				n++
+			})
+		} else {
+			kmer.ForEach64([]byte(seq), m.K, func(_ int, km kmer.Kmer64) {
+				sc.hi[n], sc.lo[n] = 0, uint64(km)
+				n++
+			})
+		}
+		sc.ends = append(sc.ends, n)
+	}
+	var hi []uint64
+	if m.Wide {
+		hi = sc.hi[:n]
+	}
+	res := sc.res[:n]
+	lk.GetBatch(hi, sc.lo[:n], res)
 
 	resp := &QueryResponse{Source: m.Source, Epoch: ep.Seq(), K: m.K, Keys: m.Keys}
-	var totalKmers, misses uint64
-
+	var misses uint64
 	if len(req.Kmers) > 0 {
-		n := len(req.Kmers)
-		sc.grow(n)
-		for i, ks := range req.Kmers {
-			if len(ks) != m.K {
-				return nil, http.StatusBadRequest,
-					fmt.Errorf("kmers[%d]: length %d, want k=%d", i, len(ks), m.K)
-			}
-			if !encodeCanonical(ks, m.K, m.Wide, &sc.hi[i], &sc.lo[i]) {
-				return nil, http.StatusBadRequest,
-					fmt.Errorf("kmers[%d]: invalid base (ACGT only)", i)
-			}
-		}
-		t.runBatch(lk, m.Wide, sc, n)
-		resp.Kmers = make([]KmerAnswer, n)
-		for i, r := range sc.res[:n] {
+		resp.Kmers = make([]KmerAnswer, len(req.Kmers))
+		for i, r := range res[:len(req.Kmers)] {
 			a := KmerAnswer{Label: r.Label, Count: r.Count, Found: r.Found}
 			if req.Siblings && r.Found {
 				a.Siblings = siblings(lk.Hist(), r.Count)
@@ -344,30 +374,14 @@ func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 			}
 			resp.Kmers[i] = a
 		}
-		totalKmers += uint64(n)
 	}
-
 	if len(req.Sequences) > 0 {
 		resp.Sequences = make([]SequenceAnswer, len(req.Sequences))
-		for si, seq := range req.Sequences {
-			n := 0
-			if m.Wide {
-				kmer.ForEach128([]byte(seq), m.K, func(_ int, km kmer.Kmer128) {
-					sc.growTo(n + 1)
-					sc.hi[n], sc.lo[n] = km.Hi, km.Lo
-					n++
-				})
-			} else {
-				kmer.ForEach64([]byte(seq), m.K, func(_ int, km kmer.Kmer64) {
-					sc.growTo(n + 1)
-					sc.hi[n], sc.lo[n] = 0, uint64(km)
-					n++
-				})
-			}
-			t.runBatch(lk, m.Wide, sc, n)
-			ans := SequenceAnswer{Kmers: n}
+		start := len(req.Kmers)
+		for si, end := range sc.ends {
+			ans := SequenceAnswer{Kmers: end - start}
 			sc.labs = sc.labs[:0]
-			for _, r := range sc.res[:n] {
+			for _, r := range res[start:end] {
 				if r.Found {
 					sc.labs = append(sc.labs, r.Label)
 				} else {
@@ -379,52 +393,26 @@ func (t *QueryTier) Execute(req QueryRequest) (*QueryResponse, int, error) {
 				ans.Found = true
 				ans.Label = majorityLabel(sc.labs)
 			}
-			totalKmers += uint64(n)
 			resp.Sequences[si] = ans
+			start = end
 		}
 	}
 
-	t.kmers.Add(totalKmers)
+	t.kmers.Add(uint64(n))
 	t.misses.Add(misses)
 	return resp, 0, nil
 }
 
-// runBatch executes the first n scratch keys shard-parallel.
-func (t *QueryTier) runBatch(lk *lookup.Lookup, wide bool, sc *queryScratch, n int) {
-	if cap(sc.res) < n {
-		sc.res = make([]lookup.Result, n)
-	}
-	sc.res = sc.res[:n]
-	var hi []uint64
-	if wide {
-		hi = sc.hi[:n]
-	}
-	t.batcher.Run(lk, hi, sc.lo[:n], sc.res)
-}
-
+// grow sizes the key and result scratch to n entries.
 func (sc *queryScratch) grow(n int) {
-	if cap(sc.hi) < n {
+	if cap(sc.lo) < n {
 		sc.hi = make([]uint64, n)
 		sc.lo = make([]uint64, n)
+		sc.res = make([]lookup.Result, n)
 	}
 	sc.hi = sc.hi[:n]
 	sc.lo = sc.lo[:n]
-}
-
-func (sc *queryScratch) growTo(n int) {
-	if n <= len(sc.hi) {
-		return
-	}
-	if cap(sc.hi) >= n {
-		sc.hi = sc.hi[:n]
-		sc.lo = sc.lo[:n]
-		return
-	}
-	nhi := make([]uint64, n, 2*n)
-	nlo := make([]uint64, n, 2*n)
-	copy(nhi, sc.hi)
-	copy(nlo, sc.lo)
-	sc.hi, sc.lo = nhi, nlo
+	sc.res = sc.res[:n]
 }
 
 // encodeCanonical parses one k-mer string into its canonical key.
@@ -499,6 +487,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, fmt.Errorf("query admission: %w", jobs.ErrQueueFull))
 		return
 	}
+	t0 := time.Now()
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	dec.DisallowUnknownFields()
@@ -506,12 +495,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
+	t1 := time.Now()
 	resp, code, err := t.Execute(req)
 	if err != nil {
 		writeErr(w, code, err)
 		return
 	}
-	t.queries.Add(1)
-	t.hist.Observe(time.Since(start))
+	t2 := time.Now()
 	writeJSON(w, http.StatusOK, resp)
+	t3 := time.Now()
+	t.queries.Add(1)
+	t.decodeHist.Observe(t1.Sub(t0))
+	t.executeHist.Observe(t2.Sub(t1))
+	t.encodeHist.Observe(t3.Sub(t2))
+	t.hist.Observe(t3.Sub(start))
 }

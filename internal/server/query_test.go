@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,11 +21,12 @@ import (
 
 const queryTestK = 21
 
-// writeQueryArtifact synthesizes a partition artifact whose keys come from
-// real k-mer strings, so HTTP queries can be issued as sequence text and
-// verified against the labels written here. The same seed yields the same
-// k-mer set, so two artifacts with different labelBase are swap-detectable.
-func writeQueryArtifact(t *testing.T, path string, labelBase uint32, seed int64) (kmers []string, labels []uint32) {
+// writeQueryArtifact synthesizes a partition artifact of nkeys keys that
+// come from real k-mer strings, so HTTP queries can be issued as sequence
+// text and verified against the labels written here. The same seed yields
+// the same k-mer set, so two artifacts with different labelBase are
+// swap-detectable.
+func writeQueryArtifact(t testing.TB, path string, nkeys int, labelBase uint32, seed int64) (kmers []string, labels []uint32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	type keyed struct {
@@ -30,7 +35,7 @@ func writeQueryArtifact(t *testing.T, path string, labelBase uint32, seed int64)
 	}
 	var ks []keyed
 	seen := map[uint64]bool{}
-	for len(ks) < 60 {
+	for len(ks) < nkeys {
 		b := make([]byte, queryTestK)
 		for i := range b {
 			b[i] = "ACGT"[rng.Intn(4)]
@@ -86,7 +91,7 @@ func writeQueryArtifact(t *testing.T, path string, labelBase uint32, seed int64)
 
 // absentKmer finds a k-mer string whose canonical key is not in the
 // artifact, so miss paths can be exercised without false hits.
-func absentKmer(t *testing.T, present []string) string {
+func absentKmer(t testing.TB, present []string) string {
 	t.Helper()
 	seen := map[uint64]bool{}
 	for _, s := range present {
@@ -128,14 +133,14 @@ func TestQueryEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.mpa")
 	pathB := filepath.Join(dir, "b.mpa")
-	kms, labsA := writeQueryArtifact(t, pathA, 0, 7)
-	_, labsB := writeQueryArtifact(t, pathB, 10000, 7)
+	kms, labsA := writeQueryArtifact(t, pathA, 60, 0, 7)
+	_, labsB := writeQueryArtifact(t, pathB, 60, 10000, 7)
 
 	tier, err := NewQueryTier(QueryOptions{
 		Dir:      filepath.Join(dir, "serve"),
 		Artifact: pathA,
 		Key:      "p-test.mpa",
-		MaxBatch: 16, MaxConcurrent: 4, Workers: 2,
+		MaxBatch: 16, MaxConcurrent: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,23 +156,19 @@ func TestQueryEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query: %d %s", resp.StatusCode, data)
 	}
+	checkFramed(t, resp, data)
 	var qr QueryResponse
 	mustUnmarshal(t, data, &qr)
-	if qr.K != queryTestK || qr.Keys != uint64(len(kms)) || qr.Epoch != 1 {
-		t.Fatalf("response header wrong: %+v", qr)
-	}
-	wantLabels := []uint32{labsA[0], labsA[7], labsA[59]}
-	for i, want := range wantLabels {
-		a := qr.Kmers[i]
-		if !a.Found || a.Label != want || a.Count != 1 {
-			t.Fatalf("kmers[%d] = %+v, want label %d count 1", i, a, want)
-		}
-		if a.Siblings != uint64(len(kms)-1) {
-			t.Fatalf("kmers[%d].Siblings = %d, want %d", i, a.Siblings, len(kms)-1)
-		}
-	}
-	if qr.Kmers[3].Found {
-		t.Fatalf("absent k-mer reported found: %+v", qr.Kmers[3])
+	sib := uint64(len(kms) - 1)
+	want := QueryResponse{Source: "a.mpa", Epoch: 1, K: queryTestK, Keys: uint64(len(kms)),
+		Kmers: []KmerAnswer{
+			{Label: labsA[0], Count: 1, Found: true, Siblings: sib},
+			{Label: labsA[7], Count: 1, Found: true, Siblings: sib},
+			{Label: labsA[59], Count: 1, Found: true, Siblings: sib},
+			{},
+		}}
+	if !reflect.DeepEqual(qr, want) {
+		t.Fatalf("k-mer answer = %+v, want %+v", qr, want)
 	}
 
 	// Sequence path: a sequence that IS one stored k-mer resolves to its
@@ -177,13 +178,16 @@ func TestQueryEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query sequences: %d %s", resp.StatusCode, data)
 	}
+	checkFramed(t, resp, data)
 	qr = QueryResponse{}
 	mustUnmarshal(t, data, &qr)
-	if s := qr.Sequences[0]; !s.Found || s.Label != labsA[3] || s.Kmers != 1 || s.Hits != 1 {
-		t.Fatalf("sequence[0] = %+v, want label %d", s, labsA[3])
-	}
-	if s := qr.Sequences[1]; s.Found || s.Hits != 0 {
-		t.Fatalf("sequence[1] = %+v, want miss", s)
+	want = QueryResponse{Source: "a.mpa", Epoch: 1, K: queryTestK, Keys: uint64(len(kms)),
+		Sequences: []SequenceAnswer{
+			{Label: labsA[3], Found: true, Kmers: 1, Hits: 1},
+			{Kmers: 1},
+		}}
+	if !reflect.DeepEqual(qr, want) {
+		t.Fatalf("sequence answer = %+v, want %+v", qr, want)
 	}
 
 	// Malformed requests map to 400: wrong k, invalid base, empty batch,
@@ -198,6 +202,7 @@ func TestQueryEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad body %s: got %d %s, want 400", bad[:min(len(bad), 40)], resp.StatusCode, data)
 		}
+		checkFramed(t, resp, data)
 	}
 
 	// Metrics: query families present, histogram observed our requests.
@@ -210,9 +215,14 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("GET /metrics: %d", mresp.StatusCode)
 	}
 	mbody := getBody(t, srv.URL+"/metrics")
+	validateProm(t, mbody)
 	for _, want := range []string{
-		"metaprepd_query_seconds_bucket", "metaprepd_queries_total",
+		"metaprepd_query_seconds_bucket", "metaprepd_queries_total 3\n",
 		"metaprepd_query_lookup_keys 60", "metaprepd_query_swaps_total 1",
+		`metaprepd_query_phase_seconds_count{phase="decode"} 3`,
+		`metaprepd_query_phase_seconds_count{phase="execute"} 3`,
+		`metaprepd_query_phase_seconds_count{phase="encode"} 3`,
+		"metaprepd_query_seconds_count 3\n",
 	} {
 		if !strings.Contains(mbody, want) {
 			t.Fatalf("/metrics missing %q", want)
@@ -242,8 +252,8 @@ func TestQueryEndpoint(t *testing.T) {
 func TestQueryTierAutoKey(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.mpa")
-	_, labsA := writeQueryArtifact(t, pathA, 500, 7)
-	kms, _ := writeQueryArtifact(t, filepath.Join(dir, "same.mpa"), 0, 7)
+	_, labsA := writeQueryArtifact(t, pathA, 60, 500, 7)
+	kms, _ := writeQueryArtifact(t, filepath.Join(dir, "same.mpa"), 60, 0, 7)
 
 	tier, err := NewQueryTier(QueryOptions{Dir: filepath.Join(dir, "serve"), Key: "auto"})
 	if err != nil {
@@ -270,6 +280,68 @@ func TestQueryTierAutoKey(t *testing.T) {
 	}
 	if !resp.Kmers[0].Found || resp.Kmers[0].Label != labsA[0] {
 		t.Fatalf("answer = %+v, want label %d", resp.Kmers[0], labsA[0])
+	}
+}
+
+// checkFramed asserts a JSON answer is one compact, length-framed body:
+// Content-Length matches, and the only newline is the encoder's last byte.
+func checkFramed(t *testing.T, resp *http.Response, data []byte) {
+	t.Helper()
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(data)) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, len(data))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	if i := bytes.IndexByte(data, '\n'); i != len(data)-1 {
+		t.Fatalf("body is not one compact JSON line: %q", data)
+	}
+}
+
+// TestQueryMaxBatchWindows: MaxBatch counts every sequence window, so a
+// sequence of exactly MaxBatch windows is answered and one window more is
+// rejected before the request's probe scratch grows.
+func TestQueryMaxBatchWindows(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.mpa")
+	kms, _ := writeQueryArtifact(t, path, 60, 0, 7)
+	const maxBatch = 64
+	tier, err := NewQueryTier(QueryOptions{Dir: filepath.Join(dir, "serve"), Artifact: path, MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tier.Close)
+
+	seq := strings.Repeat(kms[0], 5)[:maxBatch+queryTestK-1]
+	resp, code, err := tier.Execute(QueryRequest{Sequences: []string{seq}})
+	if err != nil {
+		t.Fatalf("%d windows: %d %v", maxBatch, code, err)
+	}
+	if resp.Sequences[0].Kmers != maxBatch {
+		t.Fatalf("scanned %d windows, want %d", resp.Sequences[0].Kmers, maxBatch)
+	}
+	if _, code, err := tier.Execute(QueryRequest{Kmers: kms[:1], Sequences: []string{seq}}); code != http.StatusBadRequest || err == nil {
+		t.Fatalf("%d windows + 1 k-mer: got %d %v, want 400", maxBatch, code, err)
+	}
+	if _, code, err := tier.Execute(QueryRequest{Sequences: []string{seq + "A"}}); code != http.StatusBadRequest || err == nil {
+		t.Fatalf("%d windows: got %d %v, want 400", maxBatch+1, code, err)
+	}
+
+	// A long read is rejected without growing scratch: one 4 MiB sequence
+	// would otherwise need ~16 bytes of keys and 12 of results per window.
+	long := strings.Repeat("ACGT", 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, code, _ := tier.Execute(QueryRequest{Sequences: []string{long}}); code != http.StatusBadRequest {
+		t.Fatalf("4 MiB sequence: got %d, want 400", code)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejected request allocated %d bytes", grew)
+	}
+	sc := tier.scratch.Get().(*queryScratch)
+	if cap(sc.lo) > maxBatch || cap(sc.res) > maxBatch {
+		t.Fatalf("scratch grew past max_batch: %d keys, %d results", cap(sc.lo), cap(sc.res))
 	}
 }
 

@@ -201,12 +201,44 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// jsonBuf is a pooled response buffer with its encoder.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// maxPooledJSON caps the buffers returned to jsonBufs, so one large job
+// result does not stay resident behind every small answer.
+const maxPooledJSON = 1 << 20
+
+// writeJSON is every JSON endpoint's writer: v is encoded compactly into a
+// pooled buffer first, so the response goes out with a Content-Length in
+// one Write, and an encode failure becomes a 500 with an error body
+// instead of a truncated success.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := jsonBufs.Get().(*jsonBuf)
+	defer func() {
+		if b.buf.Cap() <= maxPooledJSON {
+			jsonBufs.Put(b)
+		}
+	}()
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		b.buf.Reset()
+		code = http.StatusInternalServerError
+		b.enc.Encode(errorBody{Error: "encode response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -405,6 +405,24 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 }
 
+// TestWriteJSONEncodeError: the body is encoded before the status goes
+// out, so a value JSON cannot encode becomes a framed 500 error answer,
+// not a truncated success.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "encode response") {
+		t.Fatalf("body %q is not the encode error (%v)", rec.Body, err)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
+}
+
 // TestErrorMapping covers the 400/404/409 paths.
 func TestErrorMapping(t *testing.T) {
 	idxPath := buildIndexFile(t, 15)
